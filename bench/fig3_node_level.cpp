@@ -87,9 +87,16 @@ int main(int argc, char** argv) {
       amd.spmv_bandwidth_node() / intel.spmv_bandwidth_node());
 
   if (!cli.get_flag("skip-host-stream")) {
+    // Each array must overflow the last-level cache, or the "memory"
+    // bandwidth is a cache bandwidth.
+    const std::size_t llc = perfmodel::host_llc_bytes();
     perfmodel::StreamOptions options;
-    options.elements = 1u << 21;
+    options.elements = perfmodel::stream_elements_beyond_llc(
+        llc, perfmodel::host_mem_available_bytes());
     options.repetitions = 5;
+    std::printf("host STREAM: detected LLC %.1f MB, array size %.1f MB\n",
+                static_cast<double>(llc) / 1e6,
+                static_cast<double>(options.elements * sizeof(double)) / 1e6);
     const auto triad =
         perfmodel::run_stream(perfmodel::StreamKernel::kTriad, options);
     std::printf(

@@ -1,9 +1,10 @@
 // EXP-K1 — google-benchmark microbenchmarks of the computational kernels:
 // the CRS spMVM (sequential and thread-parallel), the split
 // local/non-local variant (Eq. 2's penalty, measured for real on this
-// host), the SELL-C-sigma sweeps, the halo gather, and supporting
-// operations. These are host measurements, not paper-machine models — the
-// interesting quantity is the *ratio* split/full (and parallel/serial).
+// host), the SELL-C-sigma sweeps, the halo gather, the solvers' dot
+// product, and supporting operations. These are host measurements, not
+// paper-machine models — the interesting quantity is the *ratio*
+// split/full (and parallel/serial).
 //
 // Perf trajectory tracking: pass --benchmark_out=BENCH_kernels.json
 // (with the default --benchmark_out_format=json) to dump the results in
@@ -22,6 +23,7 @@
 #include "sparse/ell.hpp"
 #include "sparse/kernels.hpp"
 #include "sparse/rcm.hpp"
+#include "sparse/vector_ops.hpp"
 #include "spmv/autotune.hpp"
 #include "spmv/comm_plan.hpp"
 #include "spmv/partition.hpp"
@@ -50,9 +52,10 @@ util::AlignedVector<value_t> random_vector(std::size_t n) {
   return v;
 }
 
+/// `flops` per iteration; the counter reports 1e9 flop/s.
 void set_gflops(benchmark::State& state, double flops) {
   state.counters["GFlop/s"] = benchmark::Counter(
-      flops, benchmark::Counter::kIsIterationInvariantRate,
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
 
@@ -272,6 +275,21 @@ void BM_SpmvLowNnzr(benchmark::State& state) {
   set_gflops(state, 2.0 * static_cast<double>(a.nnz()));
 }
 BENCHMARK(BM_SpmvLowNnzr)->Arg(16)->Arg(64);
+
+void BM_Dot(benchmark::State& state) {
+  // sparse::dot in its pinned 8-lane order over one rank's slice of the
+  // samg-cg problem (2^17 rows): the solvers' dot products, 16 B/element.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto x = random_vector(n);
+  const auto y = random_vector(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sparse::dot(x, y));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 16);
+  set_gflops(state, 2.0 * static_cast<double>(n));
+}
+BENCHMARK(BM_Dot)->Arg(1 << 17);
 
 void BM_HaloGather(benchmark::State& state) {
   // Packing the send buffer: indexed reads, contiguous writes.

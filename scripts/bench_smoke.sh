@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Bench smoke lane: run the thread-scaling and halo-gather
+# Bench smoke lane: run the thread-scaling, halo-gather and dot
 # microbenchmarks with repetitions and write the median-aggregated
 # google-benchmark JSON to BENCH_kernels.json at the repository root —
-# the perf-trajectory artifact future PRs diff against.
+# the perf-trajectory artifact future PRs diff against. Run it by hand to
+# persist that file; the bench_smoke ctest writes into the build tree.
 #
 # Environment:
 #   BENCH_SMOKE_BIN    kernels_micro binary (default: build/bench/kernels_micro)
-#   BENCH_SMOKE_OUT    output JSON path (default: <repo>/BENCH_kernels.json)
+#   BENCH_SMOKE_OUT    output JSON path (default: <repo>/BENCH_kernels.json;
+#                      the bench_smoke ctest points it into the build tree)
 #   BENCH_SMOKE_REPS   benchmark repetitions (default: 5)
 #   BENCH_SMOKE_STRICT 1 = fail if the team gather does not beat the
 #                      serial gather at 2 threads (default: report only —
@@ -38,35 +40,45 @@ if [[ "${build_type}" != "Release" ]]; then
 fi
 
 # Thread-scaling kernels (1/2/4 threads), the gather pair, the
-# blocked-SpMM K-sweep (K = 1/2/4/8/16 right-hand sides), and the SELL
-# SIMD-vs-scalar sweep plus its autotuned pair. Medians over repetitions
+# blocked-SpMM K-sweep (K = 1/2/4/8/16 right-hand sides), the SELL
+# SIMD-vs-scalar sweep plus its autotuned pair, and the solvers' dot
+# product at one samg-cg rank slice (2^17 elements). Medians over repetitions
 # land in the JSON as *_median aggregate entries. The tuning cache stays
 # inside the build tree so bench runs never touch ~/.cache.
 "${bin}" \
   --tuning-cache="${build_dir}/tuning-cache.json" \
-  --benchmark_filter='(Parallel|HaloGather|Spmm|SellScalar|SellSimd|SellAuto)' \
+  --benchmark_filter='(Parallel|HaloGather|Spmm|SellScalar|SellSimd|SellAuto|BM_Dot)' \
   --benchmark_repetitions="${reps}" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out="${out}" \
   --benchmark_out_format=json
 
 # Stamp provenance into the JSON context: the commit the numbers belong
-# to (perf trajectories are meaningless without it) and the build type
-# the gate above verified.
+# to (perf trajectories are meaningless without it), whether the tree
+# had uncommitted tracked changes on top of it, and the build type the
+# gate above verified.
 git_head="$(git -C "${repo_root}" rev-parse HEAD 2>/dev/null || echo unknown)"
-python3 - "${out}" "${git_head}" "${build_type}" <<'EOF'
+git_dirty=unknown
+if changes="$(git -C "${repo_root}" status --porcelain --untracked-files=no \
+                -- . ':!BENCH_kernels.json' 2>/dev/null)"; then
+  if [[ -n "${changes}" ]]; then git_dirty=true; else git_dirty=false; fi
+fi
+python3 - "${out}" "${git_head}" "${build_type}" "${git_dirty}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
 data.setdefault("context", {})
 data["context"]["git_head"] = sys.argv[2]
 data["context"]["build_type"] = sys.argv[3]
+# true: the numbers come from uncommitted changes on top of git_head.
+data["context"]["git_dirty"] = {"true": True, "false": False}.get(
+    sys.argv[4], sys.argv[4])
 with open(sys.argv[1], "w") as f:
     json.dump(data, f, indent=2)
     f.write("\n")
 EOF
 
-echo "bench_smoke: wrote ${out} (HEAD ${git_head}, ${build_type})"
+echo "bench_smoke: wrote ${out} (HEAD ${git_head}, dirty ${git_dirty}, ${build_type})"
 
 # Gather comparison: the team-parallel gather (max over participating
 # threads' spans — the engine's gather_s semantics) against the serial

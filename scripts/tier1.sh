@@ -125,6 +125,8 @@ ctest --test-dir "${build_dir}" --output-on-failure -L autotune
 ctest --test-dir "${build_dir}" --output-on-failure -L elastic
 
 # Bench smoke lane: gather + thread-scaling microbenchmarks, medians over
-# repetitions, written to BENCH_kernels.json at the repo root (the perf
-# trajectory artifact). Report-only unless BENCH_SMOKE_STRICT=1.
+# repetitions, written to BENCH_kernels.json in the build tree's bench/
+# directory. Persisting the perf-trajectory artifact at the repo root is
+# the explicit `scripts/bench_smoke.sh` step. Report-only unless
+# BENCH_SMOKE_STRICT=1.
 ctest --test-dir "${build_dir}" --output-on-failure -L bench-smoke

@@ -7,7 +7,8 @@
 // the SIMD ulp policy of docs/performance.md, resilient solvers that
 // re-converge bitwise-identically). That only holds because every
 // reduction runs in a pinned order: row_dot / row_dot_strided for kernel
-// rows, vreduce for SIMD lane sums, sparse::dot for solver dots. An
+// rows, vreduce for SIMD lane sums, sparse::dot (and fused_dot, its
+// update-in-the-same-pass form) for solver dots. An
 // ad-hoc `sum += ...` loop or std::accumulate introduces an unpinned
 // order the certification never sees; a raw _mm*/Neon intrinsic outside
 // util/simd.hpp dodges both the shim's lane policy and its scalar
@@ -29,8 +30,8 @@ using support::is_punct;
 /// the pinned order (or reductions over rank-invariant integers).
 const std::set<std::string>& pinned_helpers() {
   static const std::set<std::string> kNames = {
-      "row_dot", "row_dot_strided", "vreduce", "dot", "norm2",
-      "apply_op"};
+      "row_dot", "row_dot_strided", "vreduce", "dot", "fused_dot",
+      "norm2", "apply_op"};
   return kNames;
 }
 
@@ -145,8 +146,8 @@ class DeterminismPolicyCheck final : public Check {
                   " += ...' in a loop inside '" + f.name +
                   "': an ad-hoc accumulation order the bitwise "
                   "certification never sees — use the pinned helpers "
-                  "(sparse::dot, row_dot, vreduce) or justify why the "
-                  "order is fixed",
+                  "(sparse::dot / fused_dot, row_dot, vreduce) or "
+                  "justify why the order is fixed",
               false, "", false});
         }
       }

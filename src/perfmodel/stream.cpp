@@ -1,13 +1,77 @@
 #include "perfmodel/stream.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "team/thread_team.hpp"
 #include "util/aligned.hpp"
 #include "util/timer.hpp"
 
 namespace hspmv::perfmodel {
+
+namespace {
+
+/// "32K" / "2048K" / "300M" as sysfs writes cache sizes.
+std::size_t parse_cache_size(const std::string& text) {
+  std::size_t value = 0;
+  std::size_t i = 0;
+  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+    value = value * 10 + static_cast<std::size_t>(text[i] - '0');
+  }
+  if (i < text.size() && (text[i] == 'K' || text[i] == 'k')) return value << 10;
+  if (i < text.size() && (text[i] == 'M' || text[i] == 'm')) return value << 20;
+  if (i < text.size() && (text[i] == 'G' || text[i] == 'g')) return value << 30;
+  return value;
+}
+
+}  // namespace
+
+std::size_t host_mem_available_bytes() {
+  std::ifstream meminfo("/proc/meminfo");
+  std::string key;
+  std::size_t kb = 0;
+  std::string unit;
+  while (meminfo >> key >> kb >> unit) {
+    if (key == "MemAvailable:") return kb << 10;
+  }
+  return 0;
+}
+
+std::size_t host_llc_bytes() {
+  std::size_t best = 0;
+  int best_level = 0;
+  for (int index = 0; index < 16; ++index) {
+    const std::string dir =
+        "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(index);
+    std::ifstream level_file(dir + "/level");
+    std::ifstream size_file(dir + "/size");
+    std::ifstream type_file(dir + "/type");
+    int level = 0;
+    std::string size, type;
+    if (!(level_file >> level) || !(size_file >> size)) continue;
+    type_file >> type;
+    if (type == "Instruction") continue;
+    if (level >= best_level) {
+      best_level = level;
+      best = parse_cache_size(size);
+    }
+  }
+  return best;
+}
+
+std::size_t stream_elements_beyond_llc(std::size_t llc_bytes,
+                                       std::size_t mem_available_bytes) {
+  std::size_t array_bytes =
+      llc_bytes > 0 ? 4 * llc_bytes : std::size_t{64} << 20;
+  if (mem_available_bytes > 0) {
+    array_bytes = std::min(array_bytes, mem_available_bytes / 4 / 3);
+  }
+  return std::max<std::size_t>(array_bytes / sizeof(double), 1);
+}
 
 double stream_nominal_bytes_per_element(StreamKernel kernel) {
   switch (kernel) {

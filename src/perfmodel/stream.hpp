@@ -40,6 +40,20 @@ struct StreamOptions {
 /// the team when threads > 1, matching the paper's placement strategy).
 StreamResult run_stream(StreamKernel kernel, const StreamOptions& options);
 
+/// Size of the host's last-level data cache as sysfs reports it for
+/// cpu0, or 0 when the host does not say.
+std::size_t host_llc_bytes();
+
+/// MemAvailable from /proc/meminfo in bytes, or 0 when it is not there.
+std::size_t host_mem_available_bytes();
+
+/// STREAM array length, in elements, that keeps every array 4x beyond
+/// the LLC (64 MiB per array when the LLC is unknown, llc_bytes = 0).
+/// Capped so the three arrays take at most a quarter of
+/// `mem_available_bytes` (no cap when it is 0); at least 1 element.
+std::size_t stream_elements_beyond_llc(std::size_t llc_bytes,
+                                       std::size_t mem_available_bytes);
+
 /// Nominal bytes moved per element by a kernel (without write-allocate).
 double stream_nominal_bytes_per_element(StreamKernel kernel);
 

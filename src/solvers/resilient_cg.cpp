@@ -20,6 +20,12 @@
 // size. Joiners enter through run_joiner(), adopt the replicated
 // control state (iteration, thresholds, residual history, fired grow
 // plans) by broadcast, and iterate as full members.
+//
+// The search direction p lives in the owned part of the engine's input
+// vector and Ap is read in place from its output, so an apply copies
+// nothing; the x/r update runs in the same pass as r.r (fused_dot),
+// bitwise equal to the unfused update followed by sparse::dot(r, r).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -88,23 +94,26 @@ class ElasticCg {
     n_ = static_cast<std::size_t>(op_->matrix().owned_rows());
     x_.assign(n_, 0.0);
     r_.assign(n_, 0.0);
-    p_.assign(n_, 0.0);
-    ap_.assign(n_, 0.0);
     xd_ = op_->make_vector();
     yd_ = op_->make_vector();
   }
 
-  void apply(const std::vector<value_t>& in, std::vector<value_t>& result) {
-    std::copy(in.begin(), in.end(), xd_->owned().begin());
+  /// The search direction p: the owned part of the engine's input.
+  [[nodiscard]] std::span<value_t> direction() { return xd_->owned(); }
+
+  /// yd_ = A xd_ in place.
+  void apply() {
     const spmv::Timings t = op_->apply(*xd_, *yd_);
     out_.recovery.transient_retries += t.retries;
-    std::copy(yd_->owned().begin(), yd_->owned().end(), result.begin());
   }
 
   double dot(std::span<const value_t> u, std::span<const value_t> v) {
     // Pinned local order (sparse::dot) so the distributed dot is
     // bitwise-stable for a fixed partition.
-    const value_t local = sparse::dot(u, v);
+    return global_sum(sparse::dot(u, v));
+  }
+
+  double global_sum(value_t local) {
     return op_->comm().allreduce(local, minimpi::ReduceOp::kSum);
   }
 
@@ -114,10 +123,12 @@ class ElasticCg {
 
   /// (Re)start the recurrence from the current x: r = b - A x, p = r.
   double restart() {
-    apply(x_, ap_);
+    std::copy(x_.begin(), x_.end(), direction().begin());
+    apply();
     const auto bl = local_b();
-    for (std::size_t i = 0; i < n_; ++i) r_[i] = bl[i] - ap_[i];
-    std::copy(r_.begin(), r_.end(), p_.begin());
+    const auto ax = yd_->owned();
+    for (std::size_t i = 0; i < n_; ++i) r_[i] = bl[i] - ax[i];
+    std::copy(r_.begin(), r_.end(), direction().begin());
     return dot(r_, r_);
   }
 
@@ -195,12 +206,12 @@ class ElasticCg {
           joiner ? std::span<const value_t>{} : std::span<const value_t>(x_));
       auto new_r = op_->migrate_vector(
           joiner ? std::span<const value_t>{} : std::span<const value_t>(r_));
-      auto new_p = op_->migrate_vector(
-          joiner ? std::span<const value_t>{} : std::span<const value_t>(p_));
+      auto new_p = op_->migrate_vector(joiner ? std::span<const value_t>{}
+                                              : direction());
       resize_state();
       x_ = std::move(new_x);
       r_ = std::move(new_r);
-      p_ = std::move(new_p);
+      std::copy(new_p.begin(), new_p.end(), direction().begin());
       // Committed checkpoint generations follow the membership change to
       // the new (rank+1) % size buddies.
       store_.remap(op_->comm());
@@ -257,22 +268,29 @@ class ElasticCg {
     };
   }
 
-  /// One CG iteration (the body of the textbook loop).
+  /// One CG iteration (the body of the textbook loop). The x/r update
+  /// rides in fused_dot's pass over r, so r.r costs no extra sweep and is
+  /// bitwise sparse::dot(r, r); p = r + beta p updates the engine input.
   void step() {
-    apply(p_, ap_);
-    const double p_ap = dot(p_, ap_);
+    apply();
+    const std::span<value_t> p = direction();
+    const std::span<const value_t> ap = yd_->owned();
+    const double p_ap = dot(p, ap);
     if (p_ap <= 0.0) {
       throw std::runtime_error(
           "resilient_cg: operator is not positive definite (p'Ap <= 0)");
     }
     const double alpha = rr_ / p_ap;
-    for (std::size_t i = 0; i < n_; ++i) {
-      x_[i] += alpha * p_[i];
-      r_[i] -= alpha * ap_[i];
-    }
-    const double rr_next = dot(r_, r_);
+    const value_t rr_local =
+        sparse::fused_dot(r_, r_, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            x_[i] += alpha * p[i];
+            r_[i] -= alpha * ap[i];
+          }
+        });
+    const double rr_next = global_sum(rr_local);
     const double beta = rr_next / rr_;
-    for (std::size_t i = 0; i < n_; ++i) p_[i] = r_[i] + beta * p_[i];
+    sparse::xpay(r_, beta, p);
     rr_ = rr_next;
     ++it_;
     out_.cg.residual_history.push_back(std::sqrt(rr_));
@@ -381,7 +399,7 @@ class ElasticCg {
   index_t row_begin_ = 0;
   std::size_t n_ = 0;
   std::optional<spmv::DistVector> xd_, yd_;
-  std::vector<value_t> x_, r_, p_, ap_;
+  std::vector<value_t> x_, r_;
   int it_ = 0;
   double rr_ = 0.0;
   double b_norm_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,8 +18,30 @@ std::string lower(std::string s) {
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw std::runtime_error("matrix market, line " + std::to_string(line) +
-                           ": " + message);
+  throw MatrixMarketError("matrix market, line " + std::to_string(line) +
+                          ": " + message);
+}
+
+/// How many of `declared` entries the rest of `in` can hold: every entry
+/// line takes at least "i j\n", 4 bytes. A stream that cannot report its
+/// length gets a fixed cap; the builder grows past it if the entries are
+/// really there.
+std::int64_t entries_that_fit(std::istream& in, std::int64_t declared) {
+  constexpr std::int64_t kMinEntryBytes = 4;
+  constexpr std::int64_t kUnsizedCap = std::int64_t{1} << 20;
+  const std::istream::pos_type unknown(-1);
+  const std::istream::pos_type here = in.tellg();
+  std::istream::pos_type end = unknown;
+  if (here != unknown) {
+    in.seekg(0, std::ios::end);
+    end = in.tellg();
+    in.clear();
+    in.seekg(here);
+  }
+  in.clear();
+  if (end == unknown) return std::min(declared, kUnsizedCap);
+  const std::int64_t left = static_cast<std::int64_t>(end - here);
+  return std::min(declared, left / kMinEntryBytes + 1);
 }
 
 }  // namespace
@@ -67,7 +90,8 @@ CsrMatrix read_matrix_market(std::istream& in) {
   }
 
   CooBuilder builder(rows, cols);
-  builder.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
+  const std::int64_t fit = entries_that_fit(in, entries);
+  builder.reserve(static_cast<std::size_t>(symmetric ? 2 * fit : fit));
   std::int64_t seen = 0;
   while (seen < entries) {
     if (!std::getline(in, line)) {

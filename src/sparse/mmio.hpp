@@ -7,14 +7,23 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "sparse/csr.hpp"
 
 namespace hspmv::sparse {
 
-/// Parse a Matrix Market stream. Throws std::runtime_error with a
-/// line-numbered message on malformed input.
+/// Malformed Matrix Market input; the message carries the line number.
+class MatrixMarketError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parse a Matrix Market stream. Throws MatrixMarketError with a
+/// line-numbered message on malformed input. The entry count of the size
+/// line is not trusted for allocation: storage is reserved only for as
+/// many entries as the rest of the stream can hold.
 CsrMatrix read_matrix_market(std::istream& in);
 
 /// Convenience file wrapper; throws on unopenable paths.

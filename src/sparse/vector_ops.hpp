@@ -2,12 +2,14 @@
 // distributed kernels. Header-only; trivially inlined.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
 
 #include "sparse/types.hpp"
+#include "util/simd.hpp"
 
 namespace hspmv::sparse {
 
@@ -36,12 +38,71 @@ inline void scale(value_t alpha, std::span<value_t> x) {
   for (auto& v : x) v *= alpha;
 }
 
+/// The pinned accumulation order of every dot product in the library:
+/// dot(), norm2() and the fused solver passes that feed one.
+///
+///  - Lane l of 8 partial sums accumulates x[i]*y[i] for the elements
+///    i = l (mod 8) of the first 8*floor(n/8), one fused multiply-add
+///    per element, in increasing i.
+///  - The lanes combine as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), the
+///    tree of simd::vreduce.
+///  - The last n mod 8 products are fused into a separate sum in index
+///    order, which is added last.
+///
+/// The result is a pure function of the two slices: it does not depend
+/// on simd::kDoubleLanes, the thread count or the rank count. Every
+/// SIMD level runs the same 8 lanes (one AVX-512 register, two AVX2,
+/// four NEON, eight scalars) with fused multiply-adds, so every level
+/// and every FP-contraction setting returns the same bits.
+///
+/// `prepare(begin, end)` runs on consecutive chunks [begin, end) that
+/// cover [0, n) in order, each just before its products are read. A
+/// solver uses it to update x and y in the same pass (CG's x/r update
+/// feeding r.r) while the chunk is still in L1; it must write no element
+/// outside [begin, end). With a no-op prepare this is dot().
+template <typename Prepare>
+[[nodiscard]] value_t fused_dot(std::span<const value_t> x,
+                                std::span<const value_t> y,
+                                Prepare&& prepare) {
+  namespace simd = util::simd;
+  check_same_size(x, y);
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kW = simd::kDoubleLanes;
+  constexpr std::size_t kRegs = kLanes / kW;
+  constexpr std::size_t kChunk = 512;  // 4 KiB per vector: stays in L1
+  static_assert(kLanes % kW == 0 && kChunk % kLanes == 0);
+
+  const std::size_t n = x.size();
+  const std::size_t body = n - n % kLanes;
+  const value_t* px = x.data();
+  const value_t* py = y.data();
+  simd::VecD acc[kRegs];
+  for (auto& a : acc) a = simd::vzero();
+  for (std::size_t begin = 0; begin < body; begin += kChunk) {
+    const std::size_t end = std::min(begin + kChunk, body);
+    prepare(begin, end);
+    for (std::size_t i = begin; i < end; i += kLanes) {
+      for (std::size_t r = 0; r < kRegs; ++r) {
+        acc[r] = simd::vfma(simd::vload(px + i + r * kW),
+                            simd::vload(py + i + r * kW), acc[r]);
+      }
+    }
+  }
+  value_t tail = 0.0;
+  if (body < n) {
+    prepare(body, n);
+    for (std::size_t i = body; i < n; ++i) tail = std::fma(px[i], py[i], tail);
+  }
+  alignas(64) value_t s[kLanes];
+  for (std::size_t r = 0; r < kRegs; ++r) simd::vstore(s + r * kW, acc[r]);
+  return (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) +
+         tail;
+}
+
+/// x.y in the pinned order of fused_dot().
 [[nodiscard]] inline value_t dot(std::span<const value_t> x,
                                  std::span<const value_t> y) {
-  check_same_size(x, y);
-  value_t sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) sum += x[i] * y[i];
-  return sum;
+  return fused_dot(x, y, [](std::size_t, std::size_t) {});
 }
 
 [[nodiscard]] inline value_t norm2(std::span<const value_t> x) {

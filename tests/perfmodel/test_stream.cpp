@@ -53,6 +53,22 @@ TEST(Stream, MultiThreadedRuns) {
             0.0);
 }
 
+TEST(Stream, ElementsBeyondLlc) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  // Four times the LLC per array while memory is plentiful.
+  EXPECT_EQ(stream_elements_beyond_llc(32 * kMiB, 0),
+            4 * 32 * kMiB / sizeof(double));
+  EXPECT_EQ(stream_elements_beyond_llc(32 * kMiB, std::size_t{64} << 30),
+            4 * 32 * kMiB / sizeof(double));
+  // Unknown LLC: 64 MiB per array.
+  EXPECT_EQ(stream_elements_beyond_llc(0, 0), 64 * kMiB / sizeof(double));
+  // The three arrays fit in a quarter of MemAvailable.
+  EXPECT_EQ(stream_elements_beyond_llc(256 * kMiB, 1200 * kMiB),
+            100 * kMiB / sizeof(double));
+  // Never fewer than one element.
+  EXPECT_EQ(stream_elements_beyond_llc(32 * kMiB, 1), 1u);
+}
+
 TEST(Stream, InvalidOptionsThrow) {
   StreamOptions options;
   options.elements = 0;

@@ -91,6 +91,25 @@ TEST(Mmio, RejectsTruncatedStream) {
   EXPECT_THROW((void)read_matrix_market(in), std::runtime_error);
 }
 
+TEST(Mmio, HugeDeclaredEntryCountIsAParseErrorNotAnAllocation) {
+  // The size line claims 4e12 entries; the stream holds one. The reader
+  // must not reserve for the claim (bad_alloc / length_error) but fail
+  // with its own error when the entries run out.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 4000000000000\n"
+      "1 1 1.0\n");
+  EXPECT_THROW((void)read_matrix_market(in), MatrixMarketError);
+}
+
+TEST(Mmio, HugeDeclaredSymmetricCountIsAParseError) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "2 2 4000000000000\n"
+      "1 1 1.0\n");
+  EXPECT_THROW((void)read_matrix_market(in), MatrixMarketError);
+}
+
 TEST(Mmio, WriteReadRoundTrip) {
   CooBuilder b(4, 3);
   b.add(0, 0, 1.5);
