@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/paper_matrices.hpp"
 #include "matgen/poisson.hpp"
 #include "matgen/random_matrix.hpp"
 #include "sparse/ell.hpp"
@@ -240,6 +241,28 @@ void BM_SpmmCrs(benchmark::State& state) {
   state.counters["K"] = static_cast<double>(k);
 }
 BENCHMARK(BM_SpmmCrs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// Blocked CRS sweep on the server-hmep matrix (HMeP, make_hmep(1):
+/// 184,800 rows, 2.27 M nonzeros). Its right-hand-side accesses are
+/// cache-friendly, so the kernel's own cost shows: K = 8 runs the
+/// K-wide panel path, K = 1 the single-column row_dot. BM_SpmmCrs's
+/// random banded matrix is latency-bound on the gathers and hides it.
+void BM_SpmmHmep(benchmark::State& state) {
+  static const CsrMatrix a = bench::make_hmep(1).matrix;
+  const auto k = static_cast<int>(state.range(0));
+  const auto b = random_vector(static_cast<std::size_t>(a.cols()) *
+                               static_cast<std::size_t>(k));
+  util::AlignedVector<value_t> c(static_cast<std::size_t>(a.rows()) *
+                                 static_cast<std::size_t>(k));
+  for (auto _ : state) {
+    sparse::spmm(a, k, b, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  set_gflops(state, 2.0 * static_cast<double>(a.nnz()) *
+                        static_cast<double>(k));
+  state.counters["K"] = static_cast<double>(k);
+}
+BENCHMARK(BM_SpmmHmep)->Arg(1)->Arg(8);
 
 /// SELL-C-sigma blocked sweep, same K axis (the format Kreutzer et al.
 /// designed with blocked RHS in mind).

@@ -40,7 +40,8 @@ if [[ "${build_type}" != "Release" ]]; then
 fi
 
 # Thread-scaling kernels (1/2/4 threads), the gather pair, the
-# blocked-SpMM K-sweep (K = 1/2/4/8/16 right-hand sides), the SELL
+# blocked-SpMM K-sweep (K = 1/2/4/8/16 right-hand sides) plus the
+# K = 1/8 pair on the server-hmep matrix (BM_SpmmHmep), the SELL
 # SIMD-vs-scalar sweep plus its autotuned pair, and the solvers' dot
 # product at one samg-cg rank slice (2^17 elements). Medians over repetitions
 # land in the JSON as *_median aggregate entries. The tuning cache stays
@@ -140,7 +141,7 @@ medians = {
 }
 
 ok = True
-for bench in ("BM_SpmmCrs", "BM_SpmmSell"):
+for bench in ("BM_SpmmCrs", "BM_SpmmSell", "BM_SpmmHmep"):
     t1 = medians.get(f"{bench}/1_median")
     if t1 is None:
         print(f"bench_smoke: {bench}/1 median missing from JSON",

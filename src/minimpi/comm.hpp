@@ -7,6 +7,7 @@
 // not apply to them).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -260,6 +261,26 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> scatterv(
       const std::vector<std::vector<T>>& chunks, int root) const;
+
+  /// In-place variable-size gather (MPI_Gatherv): rank r's `send` lands
+  /// in root's `recv` right after the slices of ranks 0..r-1, so slice
+  /// sizes are the ranks' send sizes and `recv` (significant at root
+  /// only) must hold exactly their sum. Each rank copies its own slice
+  /// straight into root's buffer; nothing is allocated. A size mismatch
+  /// throws std::invalid_argument on every rank, after which the
+  /// communicator stays usable.
+  template <typename T>
+  void gatherv(std::span<const T> send, std::span<T> recv, int root) const;
+
+  /// In-place variable-size scatter (MPI_Scatterv): rank r receives the
+  /// slice of root's `send` that follows the slices of ranks 0..r-1, its
+  /// size being r's `recv` size; `send` (significant at root only) must
+  /// hold exactly the sum of the recv sizes. Each rank copies its own
+  /// slice straight out of root's buffer; nothing is allocated. A size
+  /// mismatch throws std::invalid_argument on every rank, after which
+  /// the communicator stays usable.
+  template <typename T>
+  void scatterv(std::span<const T> send, std::span<T> recv, int root) const;
 
   /// Exclusive prefix reduction (MPI_Exscan): rank r receives the
   /// reduction of ranks 0..r-1's values (identity for rank 0 — returns T{}
@@ -517,6 +538,72 @@ std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& chunks,
   std::vector<T> mine = (*all)[static_cast<std::size_t>(rank_)];
   slots.barrier(state_->size, global_rank());
   return mine;
+}
+
+template <typename T>
+void Comm::gatherv(std::span<const T> send, std::span<T> recv,
+                   int root) const {
+  static_assert(std::is_trivially_copyable_v<T>);
+  check_peer(root);
+  auto& slots = collective_slots();
+  const auto me = static_cast<std::size_t>(rank_);
+  slots.sizes[me] = send.size();
+  if (rank_ == root) {
+    // Every rank writes its own slice of this buffer.
+    slots.pointers[me] = recv.data();
+    slots.ints[me] = static_cast<std::int64_t>(recv.size());
+  }
+  slots.barrier(state_->size, global_rank());
+  // Every rank reads the same published sizes, so all of them agree on
+  // the mismatch verdict; the second barrier keeps the slots stable
+  // until everyone has read them.
+  std::size_t offset = 0;
+  std::size_t total = 0;
+  for (int r = 0; r < state_->size; ++r) {
+    if (r == rank_) offset = total;
+    total += slots.sizes[static_cast<std::size_t>(r)];
+  }
+  const auto at_root = static_cast<std::size_t>(root);
+  const bool fits = total == static_cast<std::size_t>(slots.ints[at_root]);
+  if (fits) {
+    T* dst = static_cast<T*>(const_cast<void*>(slots.pointers[at_root]));
+    std::copy(send.begin(), send.end(), dst + offset);
+  }
+  slots.barrier(state_->size, global_rank());
+  if (!fits) {
+    throw std::invalid_argument("gatherv: recv size != sum of send sizes");
+  }
+}
+
+template <typename T>
+void Comm::scatterv(std::span<const T> send, std::span<T> recv,
+                    int root) const {
+  static_assert(std::is_trivially_copyable_v<T>);
+  check_peer(root);
+  auto& slots = collective_slots();
+  const auto me = static_cast<std::size_t>(rank_);
+  slots.sizes[me] = recv.size();
+  if (rank_ == root) {
+    slots.pointers[me] = send.data();
+    slots.ints[me] = static_cast<std::int64_t>(send.size());
+  }
+  slots.barrier(state_->size, global_rank());
+  std::size_t offset = 0;
+  std::size_t total = 0;
+  for (int r = 0; r < state_->size; ++r) {
+    if (r == rank_) offset = total;
+    total += slots.sizes[static_cast<std::size_t>(r)];
+  }
+  const auto at_root = static_cast<std::size_t>(root);
+  const bool fits = total == static_cast<std::size_t>(slots.ints[at_root]);
+  if (fits) {
+    const T* src = static_cast<const T*>(slots.pointers[at_root]);
+    std::copy(src + offset, src + offset + recv.size(), recv.begin());
+  }
+  slots.barrier(state_->size, global_rank());
+  if (!fits) {
+    throw std::invalid_argument("scatterv: send size != sum of recv sizes");
+  }
 }
 
 template <typename T>

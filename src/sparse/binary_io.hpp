@@ -12,17 +12,27 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "sparse/csr.hpp"
 
 namespace hspmv::sparse {
 
+/// Malformed binary stream: bad magic or version, truncation, or a
+/// header whose sizes the stream cannot hold.
+class BinaryFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 void write_binary(std::ostream& out, const CsrMatrix& a);
 void write_binary_file(const std::string& path, const CsrMatrix& a);
 
-/// Throws std::runtime_error on bad magic/version/truncation and
-/// std::invalid_argument on structurally invalid content.
+/// Throws BinaryFormatError (a std::runtime_error) on bad magic/version,
+/// truncation, or header sizes the stream cannot hold — checked before
+/// anything is allocated — and std::invalid_argument on structurally
+/// invalid content.
 CsrMatrix read_binary(std::istream& in);
 CsrMatrix read_binary_file(const std::string& path);
 

@@ -156,6 +156,87 @@ inline value_t row_dot_strided(const value_t* __restrict val,
   }
 }
 
+/// Elementwise pairwise tree over `n` accumulators (n a power of two).
+/// At n = kDoubleLanes this applies vreduce's lane tree to every column
+/// at once: ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) on AVX-512, (a0+a1)+(a2+a3)
+/// on AVX2, a0+a1 on NEON.
+template <int N>
+inline simd::VecD vtree(const simd::VecD* a) {
+  if constexpr (N == 1) {
+    return a[0];
+  } else {
+    return simd::vadd(vtree<N / 2>(a), vtree<N / 2>(a + N / 2));
+  }
+}
+
+/// K-wide panel kernel: the sums of entry range [begin, end) against
+/// kDoubleLanes adjacent columns of a row-major `stride`-column block, b
+/// pointing at the panel's first column. Entry j feeds accumulator
+/// (j - begin) mod kDoubleLanes with one contiguous load of its
+/// kDoubleLanes column values; the r < kDoubleLanes tail entries feed
+/// accumulators 0..r-1. Per column this is row_dot_simd's operation
+/// sequence — lane l of row_dot_simd's accumulator is accumulator l here
+/// — and vtree is vreduce's tree, so every column of the panel is bitwise
+/// row_dot_simd on that column alone. Only called when kDoubleLanes > 1.
+inline simd::VecD row_panel_simd(const value_t* __restrict val,
+                                 const index_t* __restrict col,
+                                 const value_t* __restrict b, offset_t begin,
+                                 offset_t end, index_t stride) {
+  constexpr int kW = simd::kDoubleLanes;
+  const auto k = static_cast<std::size_t>(stride);
+  simd::VecD acc[kW];
+#pragma GCC unroll 16
+  for (int l = 0; l < kW; ++l) acc[l] = simd::vzero();
+  offset_t j = begin;
+  for (; j + kW <= end; j += kW) {
+#pragma GCC unroll 16
+    for (int l = 0; l < kW; ++l) {
+      acc[l] = simd::vfma(
+          simd::vbroadcast(val[j + l]),
+          simd::vload(b + static_cast<std::size_t>(col[j + l]) * k), acc[l]);
+    }
+  }
+  const auto tail = static_cast<int>(end - j);
+#pragma GCC unroll 16
+  for (int l = 0; l < kW; ++l) {
+    if (l < tail) {
+      acc[l] = simd::vfma(
+          simd::vbroadcast(val[j + l]),
+          simd::vload(b + static_cast<std::size_t>(col[j + l]) * k), acc[l]);
+    }
+  }
+  return vtree<kW>(acc);
+}
+
+/// One row of the blocked kernels: c[q] = (kAccumulate: c[q] +) the sum
+/// of entry range [begin, end) against column q of the row-major
+/// `width`-column block b, for every q < width. Full kDoubleLanes panels
+/// run row_panel_simd; the columns after the last full panel (all of
+/// them when width < kDoubleLanes, and every column in scalar builds)
+/// run the strided row_dot.
+template <bool kAccumulate>
+inline void spmm_row(const value_t* __restrict val,
+                     const index_t* __restrict col,
+                     const value_t* __restrict b, offset_t begin,
+                     offset_t end, int width, value_t* __restrict c) {
+  int q = 0;
+  if constexpr (simd::kDoubleLanes > 1) {
+    for (; q + simd::kDoubleLanes <= width; q += simd::kDoubleLanes) {
+      simd::VecD sum = row_panel_simd(val, col, b + q, begin, end, width);
+      if constexpr (kAccumulate) sum = simd::vadd(simd::vload(c + q), sum);
+      simd::vstore(c + q, sum);
+    }
+  }
+  for (; q < width; ++q) {
+    const value_t sum = row_dot_strided(val, col, b + q, begin, end, width);
+    if constexpr (kAccumulate) {
+      c[q] += sum;
+    } else {
+      c[q] = sum;
+    }
+  }
+}
+
 void check_block_shapes(const CsrView& a, index_t cols, int width,
                         std::span<const value_t> b, std::span<value_t> c) {
   if (width < 1) throw std::invalid_argument("spmm: width must be >= 1");
@@ -317,15 +398,12 @@ void spmm_rows(const CsrView& a, int width, index_t row_begin,
   const value_t* __restrict x = b.data();
   value_t* __restrict y = c.data();
   const auto k = static_cast<std::size_t>(width);
-  // Column-outer per row: the row's val/col entries stay in L1 across
-  // the k passes, so the matrix streams from memory once per block.
+  // Column panels inside the row loop: the row's val/col entries stay in
+  // L1 across the panels, so the matrix streams from memory once per
+  // block.
   for (index_t i = row_begin; i < row_end; ++i) {
-    const offset_t begin = row_ptr[i];
-    const offset_t end = row_ptr[i + 1];
-    const std::size_t base = static_cast<std::size_t>(i) * k;
-    for (std::size_t q = 0; q < k; ++q) {
-      y[base + q] = row_dot_strided(val, col, x + q, begin, end, width);
-    }
+    spmm_row<false>(val, col, x, row_ptr[i], row_ptr[i + 1], width,
+                    y + static_cast<std::size_t>(i) * k);
   }
 }
 
@@ -342,10 +420,8 @@ void spmm_local_rows(const CsrView& a, index_t local_cols, int width,
     const offset_t begin = row_ptr[i];
     const offset_t split = split_point(a.col_idx, begin, row_ptr[i + 1],
                                        local_cols);
-    const std::size_t base = static_cast<std::size_t>(i) * k;
-    for (std::size_t q = 0; q < k; ++q) {
-      y[base + q] = row_dot_strided(val, col, x + q, begin, split, width);
-    }
+    spmm_row<false>(val, col, x, begin, split, width,
+                    y + static_cast<std::size_t>(i) * k);
   }
 }
 
@@ -365,10 +441,8 @@ void spmm_nonlocal_rows(const CsrView& a, index_t local_cols, int width,
     // Same skip as spmv_nonlocal_rows: a row without non-local entries
     // costs no C traffic in any column.
     if (split == end) continue;
-    const std::size_t base = static_cast<std::size_t>(i) * k;
-    for (std::size_t q = 0; q < k; ++q) {
-      y[base + q] += row_dot_strided(val, col, x + q, split, end, width);
-    }
+    spmm_row<true>(val, col, x, split, end, width,
+                   y + static_cast<std::size_t>(i) * k);
   }
 }
 

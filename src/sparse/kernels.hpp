@@ -70,12 +70,19 @@ void spmv_nonlocal_rows(const CsrView& a, index_t local_cols,
 
 /// Blocked multi-RHS (SpMM) kernels: B and C hold `width` interleaved
 /// columns per row — element (row, q) lives at row*width + q (row-major
-/// K-column blocks). Column q is accumulated in exactly the row_dot
-/// order of the spMVM kernels, so SpMM column q is bitwise-identical to
-/// spmv on column q alone. The matrix row is re-traversed once per
-/// column but stays cache-resident across the K passes, amortizing its
-/// DRAM traffic over the block — the B_SpMM(K) = 6/K + 12/Nnzr + kappa/2
-/// model of perfmodel/code_balance.hpp.
+/// K-column blocks). Columns are swept in panels of kDoubleLanes: per
+/// row, a panel keeps kDoubleLanes accumulator vectors, entry j of the
+/// row adds val[j] times the panel's contiguous slice of B's row col[j]
+/// into accumulator (j - begin) mod kDoubleLanes (the r tail entries
+/// into accumulators 0..r-1), and the accumulators combine elementwise
+/// in util::simd::vreduce's pairwise tree. Per column that is row_dot's
+/// operation sequence, and the columns after the last full panel (all
+/// of them when width < kDoubleLanes, every column in scalar builds) run
+/// row_dot with stride-width indexing, so SpMM column q is
+/// bitwise-identical to spmv on column q alone. The matrix row stays
+/// cache-resident across the panels, amortizing its DRAM traffic over
+/// the block — the B_SpMM(K) = 6/K + 12/Nnzr + kappa/2 model of
+/// perfmodel/code_balance.hpp.
 void spmm(const CsrMatrix& a, int width, std::span<const value_t> b,
           std::span<value_t> c);
 

@@ -10,7 +10,6 @@
 
 namespace hspmv::spmv {
 
-using sparse::index_t;
 using sparse::value_t;
 
 BatchQueue::BatchQueue(std::size_t capacity, int max_block,
@@ -121,6 +120,7 @@ SpmvServer::SpmvServer(RecoverableSpmv::JoinerTag tag, minimpi::Comm grown,
 
 void SpmvServer::grow(int extra,
                       const std::function<void(minimpi::Comm&)>& joiner_main) {
+  drop_blocks();
   spmv_.grow_and_rebuild(extra, joiner_main);
   ++pending_grows_;
   pending_rows_migrated_ += spmv_.last_rebuild().rows_migrated;
@@ -151,6 +151,7 @@ ServerReport SpmvServer::serve(BatchQueue& queue) {
         // the survivors recover without it.
         throw;
       }
+      drop_blocks();
       spmv_.shrink_and_rebuild();
       ++report.rebuilds;
       report.rows_migrated += spmv_.last_rebuild().rows_migrated;
@@ -160,6 +161,34 @@ ServerReport SpmvServer::serve(BatchQueue& queue) {
     }
   }
   return report;
+}
+
+void SpmvServer::drop_blocks() {
+  x_.reset();
+  y_.reset();
+}
+
+void SpmvServer::ensure_blocks(int width) {
+  if (x_ && x_->width() == width) return;
+  drop_blocks();
+  x_.emplace(spmv_.make_multi_vector(width));
+  y_.emplace(spmv_.make_multi_vector(width));
+  // The batch scatter/gather slices are the ranks' owned blocks in rank
+  // order, so this rank's slice starts where the owned blocks of ranks
+  // 0..r-1 end. It must be row_begin * K, or rows would land on the
+  // wrong rank; checked once per block shape, agreed on by every rank so
+  // a violation throws everywhere instead of stranding the others.
+  const minimpi::Comm& comm = spmv_.comm();
+  const auto owned = static_cast<std::int64_t>(x_->owned().size());
+  std::int64_t offset = comm.exscan(owned, minimpi::ReduceOp::kSum);
+  if (comm.rank() == 0) offset = 0;  // exscan leaves rank 0 undefined
+  const std::int64_t expected =
+      static_cast<std::int64_t>(spmv_.matrix().row_begin()) * width;
+  if (comm.allreduce(offset == expected ? 1 : 0, minimpi::ReduceOp::kMin) ==
+      0) {
+    throw std::logic_error(
+        "SpmvServer: batch slice offsets do not match the row partition");
+  }
 }
 
 bool SpmvServer::serve_one(BatchQueue& queue,
@@ -177,8 +206,8 @@ bool SpmvServer::serve_one(BatchQueue& queue,
     width = static_cast<std::int64_t>(pending.size());
     // A malformed request must fail on every rank together: throwing
     // from inside the root-only packing block below would leave the
-    // other ranks blocked in the payload broadcasts, so signal it
-    // through the header instead.
+    // other ranks blocked in the payload scatter, so signal it through
+    // the header instead.
     for (const ServerRequest& request : pending) {
       if (request.x.size() != rows) width = -1;
     }
@@ -189,55 +218,35 @@ bool SpmvServer::serve_one(BatchQueue& queue,
   }
   if (width == 0) return false;
 
-  // Batch payload: ids, then the K global right-hand sides packed
-  // column-after-column (sizes are implied by width * rows, so one
-  // broadcast each suffices).
-  std::vector<std::uint64_t> ids(static_cast<std::size_t>(width), 0);
-  // HSPMV-CHECK-ALLOW(first-touch): broadcast staging; the engine re-places the block into its own vectors
-  std::vector<value_t> packed(static_cast<std::size_t>(width) * rows, 0.0);
+  const auto k = static_cast<std::size_t>(width);
+  ensure_blocks(static_cast<int>(width));
+
+  // Batch payload: root packs the K right-hand sides once into a
+  // row-major global block — element (i, q) at i * K + q, the
+  // MultiVector layout — so each rank's owned rows are one contiguous
+  // slice, scattered straight into the owned part of x.
   if (root) {
-    for (std::size_t q = 0; q < pending.size(); ++q) {
-      ids[q] = pending[q].id;
-      std::copy(pending[q].x.begin(), pending[q].x.end(),
-                packed.begin() + static_cast<std::ptrdiff_t>(q * rows));
+    packed_.resize(k * rows);
+    value_t* __restrict out = packed_.data();
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t q = 0; q < k; ++q) {
+        out[i * k + q] = pending[q].x[i];
+      }
     }
   }
-  comm.broadcast(std::span<std::uint64_t>(ids), 0);
-  comm.broadcast(std::span<value_t>(packed), 0);
+  comm.scatterv(std::span<const value_t>(packed_.data(),
+                                         root ? k * rows : 0),
+                x_->owned(), 0);
 
   if (options_.before_apply) options_.before_apply(batch_index, comm);
 
-  // Assemble the K-wide block, apply, gather each column to rank 0.
-  const index_t row_begin = spmv_.matrix().row_begin();
-  MultiVector x = spmv_.make_multi_vector(static_cast<int>(width));
-  MultiVector y = spmv_.make_multi_vector(static_cast<int>(width));
-  for (std::int64_t q = 0; q < width; ++q) {
-    x.assign_column_from_global(
-        static_cast<int>(q),
-        std::span<const value_t>(packed.data() +
-                                     static_cast<std::size_t>(q) * rows,
-                                 rows),
-        row_begin);
-  }
-  spmv_.apply(x, y);
+  spmv_.apply(*x_, *y_);
 
-  // HSPMV-CHECK-ALLOW(first-touch): gather staging on the communication path; not a sweep target
-  std::vector<value_t> owned_column(
-      static_cast<std::size_t>(spmv_.matrix().owned_rows()), 0.0);
-  std::vector<std::vector<value_t>> results;
-  if (root && options_.keep_results) {
-    results.resize(static_cast<std::size_t>(width));
-  }
-  for (std::int64_t q = 0; q < width; ++q) {
-    y.extract_owned_column(static_cast<int>(q),
-                           std::span<value_t>(owned_column));
-    auto global_column = comm.gatherv(
-        std::span<const value_t>(owned_column.data(), owned_column.size()),
-        0);
-    if (root && options_.keep_results) {
-      results[static_cast<std::size_t>(q)] = std::move(global_column);
-    }
-  }
+  // One gather of every rank's owned y block into root's row-major
+  // global block; requests read their column out of it.
+  if (root) gathered_.resize(k * rows);
+  comm.gatherv(std::span<const value_t>(y_->owned()),
+               std::span<value_t>(gathered_.data(), root ? k * rows : 0), 0);
 
   if (root) {
     const double complete_s = queue.now();
@@ -247,7 +256,12 @@ bool SpmvServer::serve_one(BatchQueue& queue,
       done.submit_s = pending[q].submit_s;
       done.complete_s = complete_s;
       done.batch_width = static_cast<int>(width);
-      if (options_.keep_results) done.y = std::move(results[q]);
+      if (options_.keep_results) {
+        done.y.resize(rows);
+        for (std::size_t i = 0; i < rows; ++i) {
+          done.y[i] = gathered_[i * k + q];
+        }
+      }
       report.completed.push_back(std::move(done));
     }
     report.batch_widths.push_back(static_cast<int>(width));

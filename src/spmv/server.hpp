@@ -9,8 +9,10 @@
 // per-request latency is bounded by the deadline.
 //
 // serve() is collective: rank 0 owns the queue, assembles batches, and
-// broadcasts them; every rank applies its row block; results gather
-// back to rank 0, which records per-request latency. A rank death
+// packs each into one row-major global block; every rank receives only
+// its owned rows of it (one scatter, straight into a reused MultiVector),
+// applies its row block, and the owned results gather back to rank 0 in
+// one collective; rank 0 records per-request latency. A rank death
 // mid-batch follows the ULFM recovery path — survivors shrink +
 // rebuild and replay the pending batch, so the queue still drains to
 // completion.
@@ -21,9 +23,11 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "spmv/resilient.hpp"
+#include "util/aligned.hpp"
 #include "util/timer.hpp"
 
 namespace hspmv::spmv {
@@ -161,9 +165,22 @@ class SpmvServer {
   /// Serve one batch. Returns false on the shutdown batch (width 0).
   bool serve_one(BatchQueue& queue, std::vector<ServerRequest>& pending,
                  int batch_index, ServerReport& report);
+  /// Make x_/y_ `width` wide unless they already are. Collective.
+  void ensure_blocks(int width);
+  /// Release x_/y_: their shape follows the engine, which a topology
+  /// change rebuilds.
+  void drop_blocks();
 
   RecoverableSpmv spmv_;
   ServerOptions options_;
+  /// The batch's input and output blocks, reused while the width and the
+  /// engine stay the same (made on the first batch, not in the ctor).
+  std::optional<MultiVector> x_;
+  std::optional<MultiVector> y_;
+  /// Rank 0 only: the batch's right-hand sides and results as row-major
+  /// global blocks (rows x K), reused across batches.
+  util::FirstTouchVector<sparse::value_t> packed_;
+  util::FirstTouchVector<sparse::value_t> gathered_;
   /// Topology changes made between serve() calls (grow()) fold into the
   /// next serve()'s report.
   std::int64_t pending_grows_ = 0;

@@ -2,9 +2,10 @@
 //
 // Detects the widest usable double-precision vector ISA at compile time
 // and exposes the handful of operations the kernels need — masked loads,
-// 32-bit-index gathers, fused multiply-add, and a fixed-order horizontal
-// reduction — behind one API, so sparse/kernels.cpp and sparse/ell.cpp
-// contain a single generic vector implementation each:
+// 32-bit-index gathers, broadcasts, lane-wise add and fused multiply-add,
+// and a fixed-order horizontal reduction — behind one API, so
+// sparse/kernels.cpp and sparse/ell.cpp contain a single generic vector
+// implementation each:
 //
 //   level    lanes  types
 //   avx512   8      __m512d / __m256i indices / __mmask8
@@ -87,6 +88,7 @@ inline MaskD mask_range(VecI lo, VecI hi, std::int32_t j, MaskD base) {
 }
 
 inline VecD vzero() { return _mm512_setzero_pd(); }
+inline VecD vbroadcast(double v) { return _mm512_set1_pd(v); }
 inline VecD vload(const double* p) { return _mm512_loadu_pd(p); }
 inline VecD vload(const double* p, MaskD m) {
   return _mm512_maskz_loadu_pd(m, p);
@@ -117,6 +119,7 @@ inline VecD vgather(const double* base, VecI idx, MaskD m) {
 
 /// Fused a*b + c.
 inline VecD vfma(VecD a, VecD b, VecD c) { return _mm512_fmadd_pd(a, b, c); }
+inline VecD vadd(VecD a, VecD b) { return _mm512_add_pd(a, b); }
 /// Fused a*b + c on active lanes; c untouched elsewhere (exact skip
 /// semantics — no spurious +0.0 accumulation on masked-out lanes).
 inline VecD vfma(VecD a, VecD b, VecD c, MaskD m) {
@@ -174,6 +177,7 @@ inline MaskD mask_range(VecI lo, VecI hi, std::int32_t j, MaskD base) {
 }
 
 inline VecD vzero() { return _mm256_setzero_pd(); }
+inline VecD vbroadcast(double v) { return _mm256_set1_pd(v); }
 inline VecD vload(const double* p) { return _mm256_loadu_pd(p); }
 inline VecD vload(const double* p, MaskD m) {
   return _mm256_maskload_pd(p, m.m64);
@@ -200,6 +204,7 @@ inline VecD vgather(const double* base, VecI idx, MaskD m) {
 }
 
 inline VecD vfma(VecD a, VecD b, VecD c) { return _mm256_fmadd_pd(a, b, c); }
+inline VecD vadd(VecD a, VecD b) { return _mm256_add_pd(a, b); }
 inline VecD vfma(VecD a, VecD b, VecD c, MaskD m) {
   return _mm256_blendv_pd(c, _mm256_fmadd_pd(a, b, c),
                           _mm256_castsi256_pd(m.m64));
@@ -234,6 +239,7 @@ inline MaskD mask_range(VecI lo, VecI hi, std::int32_t j, MaskD base) {
 }
 
 inline VecD vzero() { return vdupq_n_f64(0.0); }
+inline VecD vbroadcast(double v) { return vdupq_n_f64(v); }
 inline VecD vload(const double* p) { return vld1q_f64(p); }
 inline VecD vload(const double* p, MaskD m) {
   return VecD{m.b[0] ? p[0] : 0.0, m.b[1] ? p[1] : 0.0};
@@ -258,6 +264,7 @@ inline VecD vgather(const double* base, VecI idx, MaskD m) {
 }
 
 inline VecD vfma(VecD a, VecD b, VecD c) { return vfmaq_f64(c, a, b); }
+inline VecD vadd(VecD a, VecD b) { return vaddq_f64(a, b); }
 inline VecD vfma(VecD a, VecD b, VecD c, MaskD m) {
   const VecD fused = vfmaq_f64(c, a, b);
   return VecD{m.b[0] ? vgetq_lane_f64(fused, 0) : vgetq_lane_f64(c, 0),
@@ -287,6 +294,7 @@ inline MaskD mask_range(VecI lo, VecI hi, std::int32_t j, MaskD base) {
 }
 
 inline VecD vzero() { return 0.0; }
+inline VecD vbroadcast(double v) { return v; }
 inline VecD vload(const double* p) { return *p; }
 inline VecD vload(const double* p, MaskD m) { return m ? *p : 0.0; }
 inline void vstore(double* p, VecD v) { *p = v; }
@@ -302,6 +310,7 @@ inline VecD vgather(const double* base, VecI idx, MaskD m) {
 }
 
 inline VecD vfma(VecD a, VecD b, VecD c) { return std::fma(a, b, c); }
+inline VecD vadd(VecD a, VecD b) { return a + b; }
 inline VecD vfma(VecD a, VecD b, VecD c, MaskD m) {
   return m ? std::fma(a, b, c) : c;
 }

@@ -1,7 +1,7 @@
 // Negative fixture for hspmv-check: divergent-collective.
 //
 // Analyzed by tests/analysis/test_hspmv_check.cpp; never compiled. Both
-// flagged shapes are present: a rank-conditional branch whose collective
+// flagged shapes are present, (A) also for the in-place gatherv: a rank-conditional branch whose collective
 // set differs from its (absent) sibling, and a rank-dependent early
 // return with a collective still ahead in the function.
 #include "minimpi/comm.hpp"
@@ -29,6 +29,15 @@ long long early_exit(minimpi::Comm& comm, long long value) {
 void lopsided_spawn(minimpi::Comm& comm) {
   if (comm.rank() == 0) {
     comm.spawn(1, [](minimpi::Comm&) {});
+  }
+}
+
+// In-place gatherv: MPI_Gatherv semantics make every rank a sender, so
+// gathering only on the root strands the other ranks' slices.
+void root_only_gatherv(minimpi::Comm& comm, std::span<const double> mine,
+                       std::span<double> all) {
+  if (comm.rank() == 0) {
+    comm.gatherv(mine, all, 0);
   }
 }
 

@@ -69,9 +69,10 @@ TEST(HspmvCheck, DivergentCollectiveFixtureFires) {
   const auto result = analyze_fixture("divergent_collective.cpp");
   EXPECT_EQ(unsuppressed_checks(result),
             std::set<std::string>{"divergent-collective"});
-  // Lopsided sibling branch, early exit, and the lopsided spawn
-  // (the elastic rendezvous is a collective too).
-  EXPECT_EQ(count_of(result, "divergent-collective"), 3);
+  // Lopsided sibling branch, early exit, the lopsided spawn (the
+  // elastic rendezvous is a collective too) and the root-only in-place
+  // gatherv.
+  EXPECT_EQ(count_of(result, "divergent-collective"), 4);
 }
 
 TEST(HspmvCheck, NonblockingLifetimeFixtureFires) {

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -130,6 +131,108 @@ TEST(Collectives, AlltoallvWrongBucketCountThrows) {
                      (void)comm.alltoallv(send);
                    }),
                std::exception);
+}
+
+/// Rank r's slice of the in-place gatherv/scatterv tests: uneven sizes
+/// {2, 0, 3, 1} (rank 1 owns nothing), values tagged with rank and index.
+std::vector<int> slice_of(int rank) {
+  static constexpr int kSizes[] = {2, 0, 3, 1};
+  std::vector<int> slice(static_cast<std::size_t>(kSizes[rank]));
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    slice[i] = rank * 100 + static_cast<int>(i);
+  }
+  return slice;
+}
+
+std::vector<int> all_slices() {
+  std::vector<int> all;
+  for (int r = 0; r < 4; ++r) {
+    const auto slice = slice_of(r);
+    all.insert(all.end(), slice.begin(), slice.end());
+  }
+  return all;
+}
+
+/// Runs `rank_main` on 4 ranks with the usage validator on; returns the
+/// number of diagnostics it reported.
+int run_validated(const std::function<void(Comm&)>& rank_main) {
+  std::atomic<int> diagnostics{0};
+  RuntimeOptions options;
+  options.ranks = 4;
+  options.validate.enabled = true;
+  options.validate.on_diagnostic = [&diagnostics](const Diagnostic&) {
+    diagnostics.fetch_add(1);
+  };
+  run(options, rank_main);
+  return diagnostics.load();
+}
+
+TEST(Collectives, InPlaceGathervUnevenSlices) {
+  // Root 2 receives the rank-ordered concatenation; the empty slice of
+  // rank 1 leaves no gap; non-roots' recv spans are not touched.
+  const int diagnostics = run_validated([](Comm& comm) {
+    for (int round = 0; round < 3; ++round) {  // slots are reused
+      const auto mine = slice_of(comm.rank());
+      std::vector<int> recv(comm.rank() == 2 ? 6 : 1, -1);
+      comm.gatherv(std::span<const int>(mine), std::span<int>(recv), 2);
+      if (comm.rank() == 2) {
+        EXPECT_EQ(recv, all_slices());
+      } else {
+        EXPECT_EQ(recv, std::vector<int>{-1});
+      }
+    }
+  });
+  EXPECT_EQ(diagnostics, 0);
+}
+
+TEST(Collectives, InPlaceScattervUnevenSlices) {
+  const int diagnostics = run_validated([](Comm& comm) {
+    for (int round = 0; round < 3; ++round) {
+      std::vector<int> send;
+      if (comm.rank() == 1) send = all_slices();  // root owns an empty slice
+      std::vector<int> recv(slice_of(comm.rank()).size(), -1);
+      comm.scatterv(std::span<const int>(send), std::span<int>(recv), 1);
+      EXPECT_EQ(recv, slice_of(comm.rank()));
+    }
+  });
+  EXPECT_EQ(diagnostics, 0);
+}
+
+TEST(Collectives, InPlaceGathervSizeMismatchThrowsOnEveryRank) {
+  // Root's buffer is one element short: every rank throws (none hangs),
+  // nothing is written, and the communicator still works afterwards.
+  std::atomic<int> throws{0};
+  const int diagnostics = run_validated([&throws](Comm& comm) {
+    const auto mine = slice_of(comm.rank());
+    std::vector<int> recv(comm.rank() == 0 ? 5 : 0, -1);
+    EXPECT_THROW(
+        comm.gatherv(std::span<const int>(mine), std::span<int>(recv), 0),
+        std::invalid_argument);
+    throws.fetch_add(1);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(recv, std::vector<int>(5, -1));
+    }
+    EXPECT_EQ(comm.allreduce(1, ReduceOp::kSum), 4);
+  });
+  EXPECT_EQ(throws.load(), 4);
+  EXPECT_EQ(diagnostics, 0);
+}
+
+TEST(Collectives, InPlaceScattervSizeMismatchThrowsOnEveryRank) {
+  std::atomic<int> throws{0};
+  const int diagnostics = run_validated([&throws](Comm& comm) {
+    std::vector<int> send;
+    if (comm.rank() == 3) send = std::vector<int>(7, 1);  // one too many
+    std::vector<int> recv(slice_of(comm.rank()).size(), -1);
+    EXPECT_THROW(
+        comm.scatterv(std::span<const int>(send), std::span<int>(recv), 3),
+        std::invalid_argument);
+    throws.fetch_add(1);
+    EXPECT_EQ(recv, std::vector<int>(recv.size(), -1));
+    EXPECT_EQ(comm.allreduce(1, ReduceOp::kSum), 4);
+  });
+  EXPECT_EQ(throws.load(), 4);
+  EXPECT_EQ(diagnostics, 0);
 }
 
 TEST(Collectives, RepeatedCollectivesReuseSlots) {

@@ -91,6 +91,45 @@ TEST(BinaryIo, CorruptedContentRejected) {
   EXPECT_THROW((void)read_binary(corrupted), std::invalid_argument);
 }
 
+/// A 36-byte stream: the 28-byte header claiming rows = 0 and `nnz`
+/// nonzeros, then row_ptr = {0} — and no col_idx/val payload at all.
+std::string overstated_header(std::int64_t nnz) {
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_binary(buffer, CsrMatrix(0, 0, std::vector<sparse::Triplet>{}));
+  std::string bytes = buffer.str();
+  EXPECT_EQ(bytes.size(), 36u);
+  std::memcpy(bytes.data() + 20, &nnz, sizeof(nnz));  // the nnz field
+  return bytes;
+}
+
+TEST(BinaryIo, OverstatedHeaderThrowsBeforeAllocating) {
+  // 4e12 nonzeros would be 48 TB of col_idx + val: sizing the arrays from
+  // the header would die in the allocator. The reader must bound the
+  // claim by the bytes the stream holds and throw its typed error.
+  std::stringstream in(overstated_header(4'000'000'000'000),
+                       std::ios::in | std::ios::binary);
+  EXPECT_THROW((void)read_binary(in), BinaryFormatError);
+}
+
+TEST(BinaryIo, OverstatedHeaderOnUnseekableStreamThrows) {
+  // A stream that cannot report its length (a pipe) grows the arrays as
+  // data arrives and runs into the truncation instead.
+  class Unseekable : public std::stringbuf {
+   public:
+    explicit Unseekable(const std::string& bytes)
+        : std::stringbuf(bytes, std::ios::in | std::ios::binary) {}
+
+   protected:
+    pos_type seekoff(off_type, std::ios::seekdir,
+                     std::ios::openmode) override {
+      return pos_type(off_type(-1));
+    }
+  };
+  Unseekable buf(overstated_header(4'000'000'000'000));
+  std::istream in(&buf);
+  EXPECT_THROW((void)read_binary(in), BinaryFormatError);
+}
+
 TEST(BinaryIo, MissingFileThrows) {
   EXPECT_THROW((void)read_binary_file("/nonexistent/m.bin"),
                std::runtime_error);

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,36 +136,68 @@ TEST(CsrSimd, SpmmMatchesScalarWithinUlpPolicy) {
   }
 }
 
+/// Column q of a row-major `width`-column block.
+std::vector<value_t> block_column(std::span<const value_t> block, int width,
+                                  int q) {
+  const auto k = static_cast<std::size_t>(width);
+  std::vector<value_t> column(block.size() / k);
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    column[i] = block[i * k + static_cast<std::size_t>(q)];
+  }
+  return column;
+}
+
 TEST(CsrSimd, SpmmColumnBitwiseEqualsSpmv) {
   // The within-path invariant: SpMM column q replays spmv's exact
-  // operation sequence (the k == 1 gather skips the index scale but loads
-  // identical values), so the equality is bitwise, not ulp.
-  const CsrMatrix a = matgen::random_power_law(300, 5, 0.6, 17);
-  const auto v = view(a);
-  const int width = 5;
-  const auto xb = testutil::random_vector(
-      static_cast<std::size_t>(a.cols()) * static_cast<std::size_t>(width),
-      19);
-  std::vector<value_t> yb(static_cast<std::size_t>(a.rows()) *
-                          static_cast<std::size_t>(width));
-  spmm_rows(v, width, 0, a.rows(), xb, yb);
-  for (int q = 0; q < width; ++q) {
-    std::vector<value_t> x(static_cast<std::size_t>(a.cols()));
-    for (index_t c = 0; c < a.cols(); ++c) {
-      x[static_cast<std::size_t>(c)] =
-          xb[static_cast<std::size_t>(c) * static_cast<std::size_t>(width) +
-             static_cast<std::size_t>(q)];
-    }
-    std::vector<value_t> y(static_cast<std::size_t>(a.rows()));
-    spmv_rows(v, 0, a.rows(), x, y);
-    for (index_t i = 0; i < a.rows(); ++i) {
-      EXPECT_EQ(
-          std::bit_cast<std::uint64_t>(y[static_cast<std::size_t>(i)]),
-          std::bit_cast<std::uint64_t>(
-              yb[static_cast<std::size_t>(i) *
-                     static_cast<std::size_t>(width) +
-                 static_cast<std::size_t>(q)]))
-          << "row " << i << " col " << q;
+  // operation sequence — the K-wide panel kernel keeps row_dot's lane
+  // accumulators as column vectors and combines them with vreduce's
+  // tree, and the columns after the last full panel run the strided
+  // row_dot — so the equality is bitwise, not ulp. Widths straddle the
+  // panel width (kDoubleLanes is 8/4/2/1 depending on the ISA); the
+  // sweep matrices have empty rows and rows shorter and longer than one
+  // vector; local_cols = cols / 2 cuts rows mid-way for the split forms.
+  std::vector<CsrMatrix> matrices = sweep_matrices();
+  matrices.push_back(matgen::random_sparse(120, 21, 29));  // several panels
+  for (const int width : {1, 2, 3, 7, 8, 9, 16, 17}) {
+    for (const CsrMatrix& a : matrices) {
+      const auto v = view(a);
+      const auto k = static_cast<std::size_t>(width);
+      const auto rows = static_cast<std::size_t>(a.rows());
+      const index_t local_cols = a.cols() / 2;
+      const auto xb = testutil::random_vector(
+          static_cast<std::size_t>(a.cols()) * k,
+          static_cast<std::uint64_t>(19 + width));
+      std::vector<value_t> full_b(rows * k, -7.0);
+      spmm_rows(v, width, 0, a.rows(), xb, full_b);
+      // Split forms: local phase, then the non-local phase on top (rows
+      // without non-local entries keep the local result).
+      std::vector<value_t> split_b(rows * k, -7.0);
+      spmm_local_rows(v, local_cols, width, 0, a.rows(), xb, split_b);
+      spmm_nonlocal_rows(v, local_cols, width, 0, a.rows(), xb, split_b);
+      // Partial row range: rows outside it keep their poison.
+      std::vector<value_t> range_b(rows * k, -7.0);
+      const index_t mid_begin = a.rows() / 3;
+      const index_t mid_end = a.rows() - a.rows() / 3;
+      spmm_rows(v, width, mid_begin, mid_end, xb, range_b);
+      for (int q = 0; q < width; ++q) {
+        const std::string label = "width " + std::to_string(width) +
+                                  " rows " + std::to_string(a.rows()) +
+                                  " col " + std::to_string(q);
+        const auto x = block_column(xb, width, q);
+        std::vector<value_t> full(rows, -7.0);
+        spmv_rows(v, 0, a.rows(), x, full);
+        expect_bitwise(block_column(full_b, width, q), full,
+                       (label + " full").c_str());
+        std::vector<value_t> split(rows, -7.0);
+        spmv_local_rows(v, local_cols, 0, a.rows(), x, split);
+        spmv_nonlocal_rows(v, local_cols, 0, a.rows(), x, split);
+        expect_bitwise(block_column(split_b, width, q), split,
+                       (label + " split").c_str());
+        std::vector<value_t> range(rows, -7.0);
+        spmv_rows(v, mid_begin, mid_end, x, range);
+        expect_bitwise(block_column(range_b, width, q), range,
+                       (label + " range").c_str());
+      }
     }
   }
 }

@@ -4,7 +4,9 @@
 // recovery path — a rank dying mid-batch must not lose the pending
 // batch: survivors shrink, rebuild, replay, and the queue still drains.
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -273,6 +275,198 @@ TEST_F(SpmvServerTest, RankDeathMidBatchReplaysAndDrains) {
     }
   });
   EXPECT_EQ(victim_faults.load(), 1);
+}
+
+/// Collective single-vector reference on the server's current engine:
+/// one DistVector engine.apply of `x`, the owned blocks gathered to rank
+/// 0 (empty elsewhere).
+std::vector<value_t> single_apply(SpmvServer& server,
+                                  std::span<const value_t> x) {
+  RecoverableSpmv& spmv = server.spmv();
+  DistVector xv = spmv.make_vector();
+  DistVector yv = spmv.make_vector();
+  xv.assign_from_global(x, spmv.matrix().row_begin());
+  spmv.apply(xv, yv);
+  return spmv.comm().gatherv(std::span<const value_t>(yv.owned()), 0);
+}
+
+/// On rank 0 of `server`, the served result `done` must carry exactly the
+/// bits of a single-vector apply of its right-hand side `x`. Collective.
+void expect_served_bitwise(SpmvServer& server, const CompletedRequest* done,
+                           std::span<const value_t> x) {
+  const auto expected = single_apply(server, x);
+  if (server.spmv().comm().rank() != 0) return;
+  ASSERT_NE(done, nullptr);
+  ASSERT_EQ(done->y.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(done->y[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "request " << done->id << " (K = " << done->batch_width
+        << ") row " << i;
+  }
+}
+
+/// report.completed[r] when this rank holds it (rank 0), else null —
+/// the bitwise checks stay collective even if a report came up short.
+const CompletedRequest* completed_at(const ServerReport& report,
+                                     std::size_t r) {
+  return r < report.completed.size() ? &report.completed[r] : nullptr;
+}
+
+std::vector<value_t> request_vector(std::size_t n, std::uint64_t seed,
+                                    std::uint64_t id) {
+  return testutil::random_vector(n, testutil::sub_seed(seed, id));
+}
+
+/// A closed queue holding requests first..first+count-1.
+std::unique_ptr<BatchQueue> closed_queue(std::size_t n, std::uint64_t seed,
+                                         std::uint64_t first,
+                                         std::size_t count, int max_block) {
+  auto queue = std::make_unique<BatchQueue>(64, max_block, 0.0);
+  for (std::uint64_t id = first; id < first + count; ++id) {
+    auto x = request_vector(n, seed, id);
+    EXPECT_TRUE(queue->try_submit(id, x));
+  }
+  queue->close();
+  return queue;
+}
+
+constexpr Variant kBitwiseVariants[] = {Variant::kVectorNoOverlap,
+                                        Variant::kVectorNaiveOverlap};
+
+TEST_F(SpmvServerTest, BatchResultsBitwiseEqualSingleApplyAcrossWidths) {
+  // One server, batch widths 8, 3, 8, 1: the x/y blocks are re-made at
+  // every width change, including back to a width seen before. Every
+  // request's result must be the bits of a single-vector apply — the
+  // K-wide panel kernel, the strided leftover columns and the
+  // scatter/gather layout may not move a single ulp. Rows are ~13
+  // entries, so panels see full chunks and tails.
+  const CsrMatrix a = matgen::random_sparse(150, 13, seed(20));
+  const auto n = static_cast<std::size_t>(a.cols());
+  const std::vector<std::size_t> widths{8, 3, 8, 1};
+  for (const Variant variant : kBitwiseVariants) {
+    std::vector<std::unique_ptr<BatchQueue>> queues;
+    std::uint64_t first = 0;
+    for (const std::size_t w : widths) {
+      queues.push_back(closed_queue(n, seed(21), first, w, 8));
+      first += w;
+    }
+    minimpi::run(3, [&](minimpi::Comm& comm) {
+      ServerOptions options;
+      options.keep_results = true;
+      SpmvServer server(comm, a, /*threads=*/2, variant, {}, options);
+      std::uint64_t first_id = 0;
+      for (std::size_t phase = 0; phase < widths.size(); ++phase) {
+        const ServerReport report = server.serve(*queues[phase]);
+        const std::size_t count = widths[phase];
+        if (comm.rank() == 0) {
+          EXPECT_EQ(report.batch_widths,
+                    std::vector<int>{static_cast<int>(count)});
+          EXPECT_EQ(report.completed.size(), count);
+        }
+        for (std::size_t r = 0; r < count; ++r) {
+          const std::uint64_t id = first_id + r;
+          const CompletedRequest* done = completed_at(report, r);
+          if (done != nullptr) {
+            EXPECT_EQ(done->id, id);
+          }
+          expect_served_bitwise(server, done,
+                                request_vector(n, seed(21), id));
+        }
+        first_id += count;
+      }
+    });
+  }
+}
+
+TEST_F(SpmvServerTest, BatchResultsBitwiseEqualSingleApplyAfterShrink) {
+  // Rank 1 dies before batch 1's apply; the survivors shrink, drop and
+  // re-make the blocks for the new row partition, and replay. Every
+  // request served on the shrunk engine must carry the bits of a
+  // single-vector apply on that engine.
+  constexpr int kVictim = 1;
+  constexpr std::size_t kRequests = 19;  // batches 8 | 8 (replayed) | 3
+  const CsrMatrix a = matgen::random_sparse(140, 11, seed(22));
+  const auto n = static_cast<std::size_t>(a.cols());
+  for (const Variant variant : kBitwiseVariants) {
+    auto queue = closed_queue(n, seed(23), 0, kRequests, 8);
+    std::atomic<int> victim_faults{0};
+    minimpi::run(3, [&](minimpi::Comm& comm) {
+      ServerOptions options;
+      options.keep_results = true;
+      options.before_apply = [](int batch_index, const minimpi::Comm& c) {
+        if (batch_index == 1 && c.global_rank() == kVictim) {
+          c.simulate_rank_failure();
+        }
+      };
+      SpmvServer server(comm, a, /*threads=*/2, variant, {}, options);
+      ServerReport report;
+      try {
+        report = server.serve(*queue);
+      } catch (const minimpi::FaultError&) {
+        victim_faults.fetch_add(1);
+        return;
+      }
+      ASSERT_EQ(server.spmv().comm().size(), 2);
+      const bool root = server.spmv().comm().rank() == 0;
+      if (root) {
+        EXPECT_EQ(report.rebuilds, 1);
+        EXPECT_EQ(report.batch_widths, (std::vector<int>{8, 8, 3}));
+        EXPECT_EQ(report.completed.size(), kRequests);
+      }
+      // Requests 8.. were served after the shrink.
+      for (std::uint64_t id = 8; id < kRequests; ++id) {
+        expect_served_bitwise(server, completed_at(report, id),
+                              request_vector(n, seed(23), id));
+      }
+    });
+    EXPECT_EQ(victim_faults.load(), 1);
+  }
+}
+
+TEST_F(SpmvServerTest, BatchResultsBitwiseEqualSingleApplyAfterGrow) {
+  // Two founders serve a K = 8 batch, grow(1) drops the blocks, and the
+  // three ranks serve batches of 8 and 5 on the new partition; each
+  // result must carry the bits of a single-vector apply on the grown
+  // engine. The joiner mirrors the founders' collective sequence.
+  const CsrMatrix a = matgen::random_sparse(160, 12, seed(24));
+  const auto n = static_cast<std::size_t>(a.cols());
+  constexpr std::size_t kPhase2 = 13;
+  for (const Variant variant : kBitwiseVariants) {
+    auto queue1 = closed_queue(n, seed(25), 0, 8, 8);
+    auto queue2 = closed_queue(n, seed(25), 100, kPhase2, 8);
+    const auto check_phase2 = [&](SpmvServer& server,
+                                  const ServerReport& report) {
+      if (server.spmv().comm().rank() == 0) {
+        EXPECT_EQ(report.batch_widths, (std::vector<int>{8, 5}));
+        EXPECT_EQ(report.completed.size(), kPhase2);
+      }
+      for (std::size_t r = 0; r < kPhase2; ++r) {
+        expect_served_bitwise(server, completed_at(report, r),
+                              request_vector(n, seed(25), 100 + r));
+      }
+    };
+    std::atomic<int> joiners{0};
+    minimpi::run(2, [&](minimpi::Comm& comm) {
+      ServerOptions options;
+      options.keep_results = true;
+      SpmvServer server(comm, a, /*threads=*/2, variant, {}, options);
+      (void)server.serve(*queue1);
+      server.grow(1, [&](minimpi::Comm& grown) {
+        SpmvServer joiner(RecoverableSpmv::JoinerTag{}, grown, a,
+                          /*threads=*/2, variant, {}, options);
+        check_phase2(joiner, joiner.serve(*queue2));
+        joiners.fetch_add(1);
+      });
+      ASSERT_EQ(server.spmv().comm().size(), 3);
+      const ServerReport report = server.serve(*queue2);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(report.grows, 1);
+      }
+      check_phase2(server, report);
+    });
+    EXPECT_EQ(joiners.load(), 1);
+  }
 }
 
 TEST_F(SpmvServerTest, OversizedRequestIsRejected) {
