@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "common/paper_matrices.hpp"
@@ -313,6 +314,46 @@ void BM_Dot(benchmark::State& state) {
   set_gflops(state, 2.0 * static_cast<double>(n));
 }
 BENCHMARK(BM_Dot)->Arg(1 << 17);
+
+void BM_TeamForkJoin(benchmark::State& state) {
+  // One ThreadTeam::execute with an empty body: the handoff every team
+  // dispatch pays, back to back (the spinning path of EpochWait).
+  team::ThreadTeam team(static_cast<int>(state.range(0)));
+  const std::function<void(int)> empty = [](int) {};
+  for (auto _ : state) team.execute(empty);
+}
+BENCHMARK(BM_TeamForkJoin)->Arg(2)->Arg(4);
+
+void BM_CgStepTeam(benchmark::State& state) {
+  // resilient_cg's vector phase on one samg-cg rank slice (2^17
+  // elements) with a team of range(0): p.Ap, the x/r update fused into
+  // r.r, and p = r + beta p, one dispatch each over the fixed
+  // 8192-element blocks. 88 B/element: 16 + 48 + 24.
+  const std::size_t n = 1 << 17;
+  auto x = random_vector(n);
+  auto r = random_vector(n);
+  auto p = random_vector(n);
+  const auto ap = random_vector(n);
+  team::ThreadTeam team(static_cast<int>(state.range(0)));
+  // Small fixed scalars keep the vectors bounded over many iterations.
+  const value_t alpha = 1e-6;
+  const value_t beta = 0.5;
+  for (auto _ : state) {
+    const value_t p_ap = sparse::team_dot(team, p, ap);
+    const value_t rr = sparse::team_fused_dot(
+        team, r, r, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+          }
+        });
+    sparse::team_xpay(team, r, beta, p);
+    benchmark::DoNotOptimize(p_ap + rr);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 88);
+}
+BENCHMARK(BM_CgStepTeam)->Arg(1)->Arg(2);
 
 void BM_HaloGather(benchmark::State& state) {
   // Packing the send buffer: indexed reads, contiguous writes.

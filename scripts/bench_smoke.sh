@@ -42,13 +42,14 @@ fi
 # Thread-scaling kernels (1/2/4 threads), the gather pair, the
 # blocked-SpMM K-sweep (K = 1/2/4/8/16 right-hand sides) plus the
 # K = 1/8 pair on the server-hmep matrix (BM_SpmmHmep), the SELL
-# SIMD-vs-scalar sweep plus its autotuned pair, and the solvers' dot
-# product at one samg-cg rank slice (2^17 elements). Medians over repetitions
+# SIMD-vs-scalar sweep plus its autotuned pair, the solvers' dot
+# product and team-parallel CG vector phase at one samg-cg rank slice
+# (2^17 elements), and the empty team fork/join. Medians over repetitions
 # land in the JSON as *_median aggregate entries. The tuning cache stays
 # inside the build tree so bench runs never touch ~/.cache.
 "${bin}" \
   --tuning-cache="${build_dir}/tuning-cache.json" \
-  --benchmark_filter='(Parallel|HaloGather|Spmm|SellScalar|SellSimd|SellAuto|BM_Dot)' \
+  --benchmark_filter='(Parallel|HaloGather|Spmm|SellScalar|SellSimd|SellAuto|BM_Dot|TeamForkJoin|CgStepTeam)' \
   --benchmark_repetitions="${reps}" \
   --benchmark_report_aggregates_only=true \
   --benchmark_out="${out}" \

@@ -8,7 +8,9 @@
 // re-converge bitwise-identically). That only holds because every
 // reduction runs in a pinned order: row_dot / row_dot_strided for kernel
 // rows, vreduce for SIMD lane sums, sparse::dot (and fused_dot, its
-// update-in-the-same-pass form) for solver dots. An
+// update-in-the-same-pass form) for solver dots, and team_fused_dot for
+// their team-parallel form (fixed 8192-element blocks summed in block
+// order, so the order does not depend on the team size). An
 // ad-hoc `sum += ...` loop or std::accumulate introduces an unpinned
 // order the certification never sees; a raw _mm*/Neon intrinsic outside
 // util/simd.hpp dodges both the shim's lane policy and its scalar
@@ -31,7 +33,7 @@ using support::is_punct;
 const std::set<std::string>& pinned_helpers() {
   static const std::set<std::string> kNames = {
       "row_dot", "row_dot_strided", "vreduce", "dot", "fused_dot",
-      "norm2", "apply_op"};
+      "team_fused_dot", "norm2", "apply_op"};
   return kNames;
 }
 

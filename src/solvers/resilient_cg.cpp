@@ -23,8 +23,12 @@
 //
 // The search direction p lives in the owned part of the engine's input
 // vector and Ap is read in place from its output, so an apply copies
-// nothing; the x/r update runs in the same pass as r.r (fused_dot),
-// bitwise equal to the unfused update followed by sparse::dot(r, r).
+// nothing. The vector phase runs on the engine's thread team, as the
+// paper's vector mode runs every loop outside the MPI calls on the
+// OpenMP threads: p.Ap, the x/r update fused into r.r
+// (sparse::team_fused_dot) and p = r + beta p are one dispatch each.
+// The dots sum fixed 8192-element blocks in block order, so x is
+// bitwise the same for every team size.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -96,6 +100,7 @@ class ElasticCg {
     r_.assign(n_, 0.0);
     xd_ = op_->make_vector();
     yd_ = op_->make_vector();
+    team_ = &op_->engine().team();
   }
 
   /// The search direction p: the owned part of the engine's input.
@@ -108,9 +113,9 @@ class ElasticCg {
   }
 
   double dot(std::span<const value_t> u, std::span<const value_t> v) {
-    // Pinned local order (sparse::dot) so the distributed dot is
-    // bitwise-stable for a fixed partition.
-    return global_sum(sparse::dot(u, v));
+    // Pinned local order (sparse::team_dot) so the distributed dot is
+    // bitwise-stable for a fixed partition, whatever the team size.
+    return global_sum(sparse::team_dot(*team_, u, v));
   }
 
   double global_sum(value_t local) {
@@ -269,8 +274,9 @@ class ElasticCg {
   }
 
   /// One CG iteration (the body of the textbook loop). The x/r update
-  /// rides in fused_dot's pass over r, so r.r costs no extra sweep and is
-  /// bitwise sparse::dot(r, r); p = r + beta p updates the engine input.
+  /// rides in team_fused_dot's pass over r, so r.r costs no extra sweep
+  /// and is bitwise team_dot(r, r) after the update; p = r + beta p
+  /// updates the engine input.
   void step() {
     apply();
     const std::span<value_t> p = direction();
@@ -281,8 +287,8 @@ class ElasticCg {
           "resilient_cg: operator is not positive definite (p'Ap <= 0)");
     }
     const double alpha = rr_ / p_ap;
-    const value_t rr_local =
-        sparse::fused_dot(r_, r_, [&](std::size_t begin, std::size_t end) {
+    const value_t rr_local = sparse::team_fused_dot(
+        *team_, r_, r_, [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             x_[i] += alpha * p[i];
             r_[i] -= alpha * ap[i];
@@ -290,7 +296,7 @@ class ElasticCg {
         });
     const double rr_next = global_sum(rr_local);
     const double beta = rr_next / rr_;
-    sparse::xpay(r_, beta, p);
+    sparse::team_xpay(*team_, r_, beta, p);
     rr_ = rr_next;
     ++it_;
     out_.cg.residual_history.push_back(std::sqrt(rr_));
@@ -399,6 +405,8 @@ class ElasticCg {
   index_t row_begin_ = 0;
   std::size_t n_ = 0;
   std::optional<spmv::DistVector> xd_, yd_;
+  /// The current engine's team (re-read after every shrink and grow).
+  team::ThreadTeam* team_ = nullptr;
   std::vector<value_t> x_, r_;
   int it_ = 0;
   double rr_ = 0.0;

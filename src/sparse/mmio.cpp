@@ -88,6 +88,11 @@ CsrMatrix read_matrix_market(std::istream& in) {
   if (rows <= 0 || cols <= 0 || entries < 0) {
     fail(line_number, "invalid dimensions");
   }
+  if (rows > kMatrixMarketMaxDim || cols > kMatrixMarketMaxDim) {
+    fail(line_number, "dimensions " + std::to_string(rows) + " x " +
+                          std::to_string(cols) + " exceed the limit of " +
+                          std::to_string(kMatrixMarketMaxDim));
+  }
 
   CooBuilder builder(rows, cols);
   const std::int64_t fit = entries_that_fit(in, entries);

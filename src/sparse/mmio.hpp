@@ -20,10 +20,16 @@ class MatrixMarketError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Largest row or column count read_matrix_market() accepts: 2^28
+/// (268 M), about 12x the paper's largest matrix (sAMG, 22.8 M rows).
+/// A CSR row pointer of this many rows takes 2 GiB.
+inline constexpr index_t kMatrixMarketMaxDim = index_t{1} << 28;
+
 /// Parse a Matrix Market stream. Throws MatrixMarketError with a
-/// line-numbered message on malformed input. The entry count of the size
-/// line is not trusted for allocation: storage is reserved only for as
-/// many entries as the rest of the stream can hold.
+/// line-numbered message on malformed input. The size line is not
+/// trusted for allocation: rows or columns above kMatrixMarketMaxDim
+/// are rejected before anything is sized by them, and storage is
+/// reserved only for as many entries as the rest of the stream can hold.
 CsrMatrix read_matrix_market(std::istream& in);
 
 /// Convenience file wrapper; throws on unopenable paths.

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "sparse/types.hpp"
+#include "team/thread_team.hpp"
 #include "util/simd.hpp"
 
 namespace hspmv::sparse {
@@ -107,6 +110,85 @@ template <typename Prepare>
 
 [[nodiscard]] inline value_t norm2(std::span<const value_t> x) {
   return std::sqrt(dot(x, x));
+}
+
+/// Block length of the team-parallel vector operations: the slice is cut
+/// into blocks of this many elements (the last one shorter), a cut that
+/// does not depend on the team size.
+inline constexpr std::size_t kTeamBlock = 8192;
+
+/// Run body(block, begin, end) for every kTeamBlock block [begin, end)
+/// of [0, n) in one team dispatch: member m takes the contiguous blocks
+/// static_chunk(0, blocks, m, team.size()), each in increasing order.
+/// A single block runs inline on the caller, without a dispatch.
+template <typename Body>
+void for_each_team_block(team::ThreadTeam& team, std::size_t n,
+                         Body&& body) {
+  const auto blocks =
+      static_cast<std::int64_t>((n + kTeamBlock - 1) / kTeamBlock);
+  if (blocks <= 1) {
+    if (n > 0) body(std::size_t{0}, std::size_t{0}, n);
+    return;
+  }
+  const int parts = team.size();
+  team.execute([&](int member) {
+    const team::Range mine = team::static_chunk(0, blocks, member, parts);
+    for (std::int64_t b = mine.begin; b < mine.end; ++b) {
+      const auto begin = static_cast<std::size_t>(b) * kTeamBlock;
+      body(static_cast<std::size_t>(b), begin,
+           std::min(begin + kTeamBlock, n));
+    }
+  });
+}
+
+/// fused_dot() on a thread team, in an order that does not depend on the
+/// team size: each kTeamBlock block reduces in fused_dot's pinned 8-lane
+/// order, and the block partials are summed in increasing block order,
+/// ((p0 + p1) + p2) + .... The result is the same for every team size,
+/// and a slice of at most one block returns exactly the bits of dot().
+/// `prepare(begin, end)` follows fused_dot's contract on absolute
+/// indices; it runs on the member that owns the block, so it must write
+/// no element outside [begin, end).
+template <typename Prepare>
+[[nodiscard]] value_t team_fused_dot(team::ThreadTeam& team,
+                                     std::span<const value_t> x,
+                                     std::span<const value_t> y,
+                                     Prepare&& prepare) {
+  check_same_size(x, y);
+  const std::size_t n = x.size();
+  if (n <= kTeamBlock) return fused_dot(x, y, prepare);
+  // HSPMV-CHECK-ALLOW(first-touch): one partial per 8192-element block, written once and summed once; never streamed by a kernel
+  std::vector<value_t> partial((n + kTeamBlock - 1) / kTeamBlock);
+  for_each_team_block(
+      team, n, [&](std::size_t block, std::size_t begin, std::size_t end) {
+        partial[block] = fused_dot(
+            x.subspan(begin, end - begin), y.subspan(begin, end - begin),
+            [&](std::size_t lo, std::size_t hi) {
+              prepare(begin + lo, begin + hi);
+            });
+      });
+  value_t sum = partial[0];
+  for (std::size_t b = 1; b < partial.size(); ++b) sum += partial[b];
+  return sum;
+}
+
+/// x.y on a thread team, in the block order of team_fused_dot().
+[[nodiscard]] inline value_t team_dot(team::ThreadTeam& team,
+                                      std::span<const value_t> x,
+                                      std::span<const value_t> y) {
+  return team_fused_dot(team, x, y, [](std::size_t, std::size_t) {});
+}
+
+/// xpay() on a thread team, split on the kTeamBlock cut.
+inline void team_xpay(team::ThreadTeam& team, std::span<const value_t> x,
+                      value_t beta, std::span<value_t> y) {
+  check_same_size(x, y);
+  for_each_team_block(team, x.size(),
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          y[i] = x[i] + beta * y[i];
+                        }
+                      });
 }
 
 inline void copy(std::span<const value_t> x, std::span<value_t> y) {

@@ -278,6 +278,10 @@ class SpmvEngine {
   [[nodiscard]] const TunedConfig& tuned_config() const { return tuned_; }
   [[nodiscard]] int threads() const { return team_.size(); }
   [[nodiscard]] int compute_threads() const { return compute_threads_; }
+  /// The rank's thread team, for a solver's vector phase between
+  /// applies (the paper's vector mode: the team runs every loop outside
+  /// the MPI calls). Not to be used while an apply() is running.
+  [[nodiscard]] team::ThreadTeam& team() { return team_; }
 
   /// Attach a timeline recorder (nullptr to detach): every phase of each
   /// team thread is recorded as a span on lane "<prefix>t<id>" — the

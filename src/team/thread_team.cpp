@@ -2,23 +2,67 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace hspmv::team {
+
+namespace {
+
+/// Spin-loop hint: lets the sibling hyperthread (or the hypervisor) run
+/// while this one polls.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+std::uint64_t EpochWait::wait_change(std::uint64_t seen) {
+  std::uint64_t now = epoch_.load(std::memory_order_acquire);
+  if (now != seen) return now;
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  do {
+    cpu_relax();
+    std::this_thread::yield();
+    now = epoch_.load(std::memory_order_acquire);
+    if (now != seen) return now;
+  } while (std::chrono::steady_clock::now() < deadline);
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  while ((now = epoch_.load(std::memory_order_seq_cst)) == seen) {
+    cv_.wait(lock);
+  }
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  return now;
+}
+
+void EpochWait::advance() {
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) == 0) return;
+  // A parked waiter holds the mutex from its parked_ increment until
+  // cv_.wait releases it, so taking it here orders the notify after it.
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_all();
+}
 
 Barrier::Barrier(int parties) : parties_(parties) {
   if (parties < 1) throw std::invalid_argument("Barrier: parties must be >= 1");
 }
 
 void Barrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool my_sense = sense_;
-  if (++arrived_ == parties_) {
-    arrived_ = 0;
-    sense_ = !sense_;
-    cv_.notify_all();
+  const std::uint64_t seen = generation_.load();
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    // Reset before the release: a party leaving this phase can arrive at
+    // the next one only after it saw the new generation.
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.advance();
     return;
   }
-  cv_.wait(lock, [&] { return sense_ != my_sense; });
+  generation_.wait_change(seen);
 }
 
 Range static_chunk(std::int64_t begin, std::int64_t end, int part,
@@ -91,50 +135,42 @@ ThreadTeam::ThreadTeam(int threads) {
 }
 
 ThreadTeam::~ThreadTeam() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
+  shutdown_.store(true, std::memory_order_relaxed);
+  start_.advance();
   for (auto& t : threads_) t.join();
 }
 
 void ThreadTeam::worker_main(int id) {
-  std::uint64_t seen_generation = 0;
+  std::uint64_t seen = 0;
   while (true) {
-    const std::function<void(int)>* task = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      task = task_;
-    }
+    seen = start_.wait_change(seen);
+    if (shutdown_.load(std::memory_order_relaxed)) return;
     try {
-      (*task)(id);
+      (*task_)(id);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(error_mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--remaining_ == 0) done_cv_.notify_all();
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      done_.advance();
     }
   }
 }
 
 void ThreadTeam::execute(const std::function<void(int)>& body) {
   if (!body) throw std::invalid_argument("ThreadTeam::execute: null body");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  const bool forked = !threads_.empty();
+  std::uint64_t done_seen = 0;
+  if (forked) {
+    // No worker touches task_ or remaining_ until start_ advances, and
+    // the previous task's last finisher advanced done_ after its last
+    // use of either.
     task_ = &body;
-    remaining_ = static_cast<int>(threads_.size());
-    first_error_ = nullptr;
-    ++generation_;
+    remaining_.store(static_cast<int>(threads_.size()),
+                     std::memory_order_relaxed);
+    done_seen = done_.load();
+    start_.advance();
   }
-  cv_.notify_all();
   // The caller is team member 0.
   std::exception_ptr caller_error;
   try {
@@ -142,18 +178,17 @@ void ThreadTeam::execute(const std::function<void(int)>& body) {
   } catch (...) {
     caller_error = std::current_exception();
   }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return remaining_ == 0; });
+  if (forked) {
+    done_.wait_change(done_seen);
     task_ = nullptr;
-    if (!first_error_ && caller_error) first_error_ = caller_error;
-    if (first_error_) {
-      auto error = first_error_;
-      first_error_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
   }
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    error = std::exchange(first_error_, nullptr);
+  }
+  if (!error) error = caller_error;
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadTeam::parallel_for(

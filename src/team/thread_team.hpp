@@ -4,13 +4,26 @@
 // standard has no subteams: one thread must do MPI while the rest compute,
 // with work distributed explicitly "using one contiguous chunk of nonzeros
 // per compute thread". This module provides exactly those primitives: a
-// persistent pinned pool, a sense-reversing barrier usable by any subset,
-// static range chunking, and nonzero-balanced row chunking.
+// persistent worker pool (threads are not pinned to cores), a barrier
+// usable by any subset, static range chunking, and nonzero-balanced row
+// chunking.
+//
+// Every wait in the team — a worker waiting for the next execute(), the
+// caller waiting for the join, a Barrier party waiting for the last
+// arrival — is one bounded spin-then-park (EpochWait): spin on an atomic
+// epoch for about 50 µs, then sleep on a condition variable that the
+// waker signals only when someone sleeps. The spin keeps the handoff
+// between back-to-back dispatches in the µs range; each spin step also
+// yields the CPU, so a waiter that shares its core with the thread it
+// waits for (more threads than cores) hands the core over instead of
+// burning its time slice.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -30,8 +43,42 @@ inline void atomic_fetch_max(std::atomic<double>& target, double value) {
   }
 }
 
-/// Reusable sense-reversing barrier for `parties` threads (cv-based; the
-/// host may have fewer cores than threads, so spinning would livelock).
+/// A monotone 64-bit epoch that threads wait on: the team's one handoff
+/// primitive. advance() bumps the epoch (release); wait_change() returns
+/// once the epoch differs from the value the waiter last saw (acquire).
+///
+/// A waiter spins for at most kSpinBudget of wall time, each step a CPU
+/// pause hint followed by std::this_thread::yield(), then parks on a
+/// condition variable. advance() takes the mutex and notifies only when
+/// a waiter is parked, so a hot handoff costs one atomic increment and
+/// one load. The parked count and the epoch are both sequentially
+/// consistent, so either the waker sees the sleeper or the sleeper sees
+/// the new epoch before it sleeps: no wake-up is lost.
+class EpochWait {
+ public:
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
+  [[nodiscard]] std::uint64_t load() const {
+    return epoch_.load(std::memory_order_acquire);
+  }
+
+  /// Block until the epoch differs from `seen`; returns the new epoch.
+  std::uint64_t wait_change(std::uint64_t seen);
+
+  /// Bump the epoch and wake every waiter.
+  void advance();
+
+ private:
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> parked_{0};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+};
+
+/// Reusable barrier for `parties` threads: arrivals count up on an
+/// atomic, the last one resets the count and advances the generation
+/// every other party waits on (spin-then-park, see EpochWait). Any
+/// subset of a team can use its own Barrier, as task mode's workers do.
 class Barrier {
  public:
   explicit Barrier(int parties);
@@ -43,10 +90,8 @@ class Barrier {
 
  private:
   int parties_;
-  int arrived_ = 0;
-  bool sense_ = false;
-  std::mutex mutex_;
-  std::condition_variable cv_;
+  std::atomic<int> arrived_{0};
+  EpochWait generation_;
 };
 
 /// Half-open index range.
@@ -76,7 +121,9 @@ std::vector<std::int64_t> nnz_balanced_boundaries(
 std::vector<std::int64_t> uniform_boundaries(std::int64_t count, int parts);
 
 /// Persistent worker pool. Threads are created once and reused across
-/// execute() calls; a fork/join costs two barrier passes, no thread spawn.
+/// execute() calls; a fork/join is two EpochWait handoffs (start, then
+/// the last finisher's done), no thread spawn and, while the team is
+/// busy, no lock.
 class ThreadTeam {
  public:
   explicit ThreadTeam(int threads);
@@ -102,13 +149,14 @@ class ThreadTeam {
   void worker_main(int id);
 
   std::vector<std::thread> threads_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::uint64_t generation_ = 0;
+  /// Advanced by execute() once task_ is set (and by the destructor).
+  EpochWait start_;
+  /// Advanced by the last worker to finish the current task.
+  EpochWait done_;
   const std::function<void(int)>* task_ = nullptr;
-  int remaining_ = 0;
-  bool shutdown_ = false;
-  std::condition_variable done_cv_;
+  std::atomic<int> remaining_{0};
+  std::atomic<bool> shutdown_{false};
+  std::mutex error_mutex_;
   std::exception_ptr first_error_;
 };
 

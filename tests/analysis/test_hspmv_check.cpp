@@ -107,6 +107,19 @@ TEST(HspmvCheck, DeterminismPolicyFixtureFires) {
   EXPECT_GE(count_of(result, "determinism-policy"), 3);
 }
 
+TEST(HspmvCheck, UnregisteredBlockSumStillFires) {
+  // Only the registered team reducer may sum block partials in a loop.
+  const auto result = analyze_fixture("determinism_block_sum.cpp");
+  EXPECT_EQ(unsuppressed_checks(result),
+            std::set<std::string>{"determinism-policy"});
+  ASSERT_EQ(count_of(result, "determinism-policy"), 1)
+      << result.report.to_json();
+  for (const Finding& f : result.report.findings) {
+    EXPECT_NE(f.message.find("'team_block_sum'"), std::string::npos)
+        << f.message;
+  }
+}
+
 TEST(HspmvCheck, BadSuppressionShapesFire) {
   const auto result = analyze_fixture("bad_suppression.cpp");
   bool reasonless = false;

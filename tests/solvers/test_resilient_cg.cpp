@@ -6,6 +6,7 @@
 // one checkpoint interval.
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -101,6 +102,42 @@ TEST_F(ResilientCg, FailureFreeRunMatchesTruth) {
     for (std::size_t i = 0; i < result.x.size(); ++i) {
       EXPECT_NEAR(result.x[i], problem.x_true[i], 1e-6);
     }
+  }
+}
+
+TEST_F(ResilientCg, SolutionIsBitwiseTheSameForEveryTeamSize) {
+  // The vector phase runs on the rank's team. Its dots sum fixed
+  // 8192-element blocks in block order, so 1, 2 or 3 threads per rank
+  // must give the same bits. 2 ranks x 20000 rows: three blocks per
+  // rank, one per member of the largest team.
+  Problem problem{matgen::poisson5_2d(200, 200), {}, {}};
+  problem.b = random_vector(static_cast<std::size_t>(problem.a.rows()),
+                            seed(3));
+  CgOptions cg;
+  cg.max_iterations = 40;
+  minimpi::RuntimeOptions runtime;
+  runtime.ranks = 2;
+  std::vector<value_t> reference;
+  std::vector<double> reference_history;
+  for (int threads = 1; threads <= 3; ++threads) {
+    ResilienceOptions resilience = fast_options();
+    resilience.threads = threads;
+    const auto results = run_cg(problem, 2, resilience, runtime, cg);
+    const ResilientCgResult& result = results.front();
+    ASSERT_EQ(result.cg.iterations, 40) << "threads = " << threads;
+    if (threads == 1) {
+      reference = result.x;
+      reference_history = result.cg.residual_history;
+      continue;
+    }
+    ASSERT_EQ(result.x.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(result.x[i]),
+                std::bit_cast<std::uint64_t>(reference[i]))
+          << "threads = " << threads << ", i = " << i;
+    }
+    EXPECT_EQ(result.cg.residual_history, reference_history)
+        << "threads = " << threads;
   }
 }
 

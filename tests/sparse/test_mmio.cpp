@@ -110,6 +110,25 @@ TEST(Mmio, HugeDeclaredSymmetricCountIsAParseError) {
   EXPECT_THROW((void)read_matrix_market(in), MatrixMarketError);
 }
 
+TEST(Mmio, HugeDeclaredDimensionsAreAParseErrorNotAnAllocation) {
+  // 2e9 x 2e9 with one entry: a row pointer sized by the header would
+  // take 16 GB. The reader must reject the header before allocating.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2000000000 2000000000 1\n"
+      "1 1 1.0\n");
+  EXPECT_THROW((void)read_matrix_market(in), MatrixMarketError);
+}
+
+TEST(Mmio, DimensionsJustAboveTheLimitAreRejected) {
+  const std::string over = std::to_string(kMatrixMarketMaxDim + 1);
+  for (const std::string& size : {over + " 1 1\n", "1 " + over + " 1\n"}) {
+    std::istringstream in("%%MatrixMarket matrix coordinate real general\n" +
+                          size + "1 1 1.0\n");
+    EXPECT_THROW((void)read_matrix_market(in), MatrixMarketError) << size;
+  }
+}
+
 TEST(Mmio, WriteReadRoundTrip) {
   CooBuilder b(4, 3);
   b.add(0, 0, 1.5);

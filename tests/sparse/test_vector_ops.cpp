@@ -1,5 +1,7 @@
 #include "sparse/vector_ops.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -186,6 +188,111 @@ TEST(VectorOps, FusedUpdateMatchesUnfusedUpdateThenDot) {
       ASSERT_EQ(bits(r[i]), bits(r_ref[i])) << "n = " << n << ", i = " << i;
     }
   }
+}
+
+/// The slice sizes of the team reducer's tests: empty, under one 8-lane
+/// pass, around one kTeamBlock and across many blocks.
+std::vector<std::size_t> team_sizes_n() {
+  return {0, 7, 8191, 8192, 8193, 131071};
+}
+
+/// Scalar reference of team_fused_dot's order: dot_reference per
+/// 8192-element block, block partials summed in increasing block order.
+value_t team_dot_reference(std::span<const value_t> x,
+                           std::span<const value_t> y) {
+  if (x.empty()) return 0.0;
+  value_t sum = 0.0;
+  for (std::size_t begin = 0; begin < x.size(); begin += kTeamBlock) {
+    const std::size_t len = std::min(kTeamBlock, x.size() - begin);
+    const value_t part =
+        dot_reference(x.subspan(begin, len), y.subspan(begin, len));
+    sum = begin == 0 ? part : sum + part;
+  }
+  return sum;
+}
+
+TEST(VectorOps, TeamDotIsTheSameForEveryTeamSize) {
+  for (const std::size_t n : team_sizes_n()) {
+    const auto x = random_values(n, 61 + n);
+    const auto y = random_values(n, 67 + n);
+    const value_t expected = team_dot_reference(x, y);
+    for (int threads = 1; threads <= 4; ++threads) {
+      team::ThreadTeam pool(threads);
+      EXPECT_EQ(bits(team_dot(pool, x, y)), bits(expected))
+          << "n = " << n << ", threads = " << threads;
+    }
+    if (n <= kTeamBlock) {
+      EXPECT_EQ(bits(expected), bits(dot(x, y))) << "n = " << n;
+    }
+  }
+}
+
+TEST(VectorOps, TeamFusedUpdateMatchesUnfusedUpdateThenTeamDot) {
+  // The solver's x/r update fused into r.r, on teams of 1-4: the same
+  // bits as the serial update followed by team_dot(r, r), and every
+  // element prepared exactly once.
+  for (const std::size_t n : team_sizes_n()) {
+    const auto p = random_values(n, 71 + n);
+    const auto ap = random_values(n, 73 + n);
+    const auto x0 = random_values(n, 79 + n);
+    const auto r0 = random_values(n, 83 + n);
+    const value_t alpha = -0.61;
+
+    auto x_ref = x0;
+    auto r_ref = r0;
+    for (std::size_t i = 0; i < n; ++i) {
+      x_ref[i] += alpha * p[i];
+      r_ref[i] -= alpha * ap[i];
+    }
+    const value_t rr_ref = team_dot_reference(r_ref, r_ref);
+
+    for (int threads = 1; threads <= 4; ++threads) {
+      team::ThreadTeam pool(threads);
+      auto x = x0;
+      auto r = r0;
+      std::vector<std::atomic<int>> prepared(n);
+      const value_t rr = team_fused_dot(
+          pool, r, r, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              prepared[i].fetch_add(1, std::memory_order_relaxed);
+              x[i] += alpha * p[i];
+              r[i] -= alpha * ap[i];
+            }
+          });
+      EXPECT_EQ(bits(rr), bits(rr_ref))
+          << "n = " << n << ", threads = " << threads;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(prepared[i].load(), 1) << "n = " << n << ", i = " << i;
+        ASSERT_EQ(bits(x[i]), bits(x_ref[i])) << "n = " << n << ", i = " << i;
+        ASSERT_EQ(bits(r[i]), bits(r_ref[i])) << "n = " << n << ", i = " << i;
+      }
+    }
+  }
+}
+
+TEST(VectorOps, TeamXpayMatchesXpay) {
+  for (const std::size_t n : team_sizes_n()) {
+    const auto x = random_values(n, 89 + n);
+    const auto y0 = random_values(n, 97 + n);
+    auto y_ref = y0;
+    xpay(x, 0.83, y_ref);
+    for (int threads = 1; threads <= 4; ++threads) {
+      team::ThreadTeam pool(threads);
+      auto y = y0;
+      team_xpay(pool, x, 0.83, y);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(y[i]), bits(y_ref[i]))
+            << "n = " << n << ", threads = " << threads << ", i = " << i;
+      }
+    }
+  }
+}
+
+TEST(VectorOps, TeamOpsRejectSizeMismatch) {
+  team::ThreadTeam pool(2);
+  std::vector<value_t> x(10), y(11);
+  EXPECT_THROW((void)team_dot(pool, x, y), std::invalid_argument);
+  EXPECT_THROW(team_xpay(pool, x, 1.0, y), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "team/thread_team.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -217,6 +220,116 @@ TEST(ThreadTeam, NullBodyThrows) {
   ThreadTeam pool(2);
   EXPECT_THROW(pool.execute(std::function<void(int)>()),
                std::invalid_argument);
+}
+
+/// Idle long enough that every waiter has left its spin and parked.
+void idle_past_spin_budget() {
+  std::this_thread::sleep_for(20 * EpochWait::kSpinBudget);
+}
+
+TEST(EpochWait, ParkedWaiterWakesOnAdvance) {
+  EpochWait epoch;
+  const std::uint64_t seen = epoch.load();
+  std::atomic<std::uint64_t> woke_with{seen};
+  std::thread waiter([&] { woke_with = epoch.wait_change(seen); });
+  idle_past_spin_budget();
+  epoch.advance();
+  waiter.join();
+  EXPECT_EQ(woke_with.load(), seen + 1);
+  // An epoch that already moved returns at once.
+  EXPECT_EQ(epoch.wait_change(seen), seen + 1);
+}
+
+TEST(Barrier, LateArrivalWakesParkedParties) {
+  ThreadTeam pool(3);
+  Barrier barrier(3);
+  std::atomic<int> before{0};
+  std::atomic<bool> violation{false};
+  for (int round = 0; round < 3; ++round) {
+    pool.execute([&](int id) {
+      if (id == 0) idle_past_spin_budget();  // the others park meanwhile
+      before.fetch_add(1);
+      barrier.arrive_and_wait();
+      if (before.load() < 3 * (round + 1)) violation = true;
+      barrier.arrive_and_wait();
+    });
+  }
+  EXPECT_FALSE(violation.load());
+  EXPECT_EQ(before.load(), 9);
+}
+
+TEST(ThreadTeam, ManyExecutesMixEmptyAndBusyBodies) {
+  // 10^5 fork/joins through the hot (spinning) handoff, every 64th body
+  // busy long enough to skew the members against each other.
+  ThreadTeam pool(3);
+  std::vector<std::int64_t> runs(3, 0);
+  std::atomic<std::int64_t> sink{0};
+  constexpr int kExecutes = 100000;
+  for (int i = 0; i < kExecutes; ++i) {
+    if (i % 64 == 0) {
+      pool.execute([&](int id) {
+        std::int64_t acc = 0;
+        for (int k = 0; k < 2000 * (id + 1); ++k) acc += k ^ i;
+        sink.fetch_add(acc, std::memory_order_relaxed);
+        ++runs[static_cast<std::size_t>(id)];
+      });
+    } else {
+      pool.execute([&](int id) { ++runs[static_cast<std::size_t>(id)]; });
+    }
+  }
+  // Plain (non-atomic) per-member counters: the join publishes them.
+  for (const std::int64_t r : runs) EXPECT_EQ(r, kExecutes);
+  EXPECT_NE(sink.load(), 0);
+}
+
+TEST(ThreadTeam, WakesAfterIdleLongerThanSpinBudget) {
+  // Park path: the workers give up spinning during each pause and must
+  // be woken by the next execute.
+  ThreadTeam pool(4);
+  std::vector<std::atomic<int>> hits(4);
+  for (int round = 0; round < 5; ++round) {
+    idle_past_spin_budget();
+    pool.execute([&](int id) { hits[static_cast<std::size_t>(id)]++; });
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 5);
+}
+
+TEST(ThreadTeam, OversubscribedTeamFinishesInBoundedTime) {
+  // More members than this 4-vCPU host has cores: the yielding spin
+  // must hand the cores over instead of starving the members it waits
+  // for. A generous wall-clock bound catches a livelock.
+  ThreadTeam pool(8);
+  Barrier barrier(8);
+  std::atomic<int> total{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 2000; ++i) {
+    pool.execute([&](int) {
+      total.fetch_add(1, std::memory_order_relaxed);
+      barrier.arrive_and_wait();
+    });
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(total.load(), 16000);
+  EXPECT_LT(elapsed, std::chrono::seconds(60));
+}
+
+TEST(ThreadTeam, ExceptionsPropagateAfterPark) {
+  ThreadTeam pool(3);
+  idle_past_spin_budget();
+  EXPECT_THROW(pool.execute([&](int id) {
+    if (id == 2) throw std::runtime_error("member 2 failed");
+  }),
+               std::runtime_error);
+  idle_past_spin_budget();
+  EXPECT_THROW(pool.execute([&](int id) {
+    if (id == 0) throw std::logic_error("caller failed");
+    idle_past_spin_budget();  // the caller parks on the join
+  }),
+               std::logic_error);
+  idle_past_spin_budget();
+  std::atomic<int> total{0};
+  pool.execute([&](int) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 3);
 }
 
 }  // namespace
