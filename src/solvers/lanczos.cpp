@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "solvers/lanczos_step.hpp"
 #include "solvers/tridiag.hpp"
 #include "util/prng.hpp"
 
@@ -22,10 +23,7 @@ LanczosResult lanczos(const Operator& op, const LanczosOptions& options) {
   // HSPMV-CHECK-ALLOW(first-touch): sequential reference Lanczos; the allocating thread is the only consumer
   std::vector<value_t> v(n);       // current Lanczos vector
   // HSPMV-CHECK-ALLOW(first-touch): sequential reference Lanczos; the allocating thread is the only consumer
-  std::vector<value_t> v_prev(n, 0.0);
-  // HSPMV-CHECK-ALLOW(first-touch): sequential reference Lanczos; the allocating thread is the only consumer
   std::vector<value_t> w(n);
-  std::vector<std::vector<value_t>> basis;  // for reorthogonalization
 
   // Deterministic random start, normalized with the *global* dot so every
   // rank of a distributed run produces consistent local slices only if
@@ -37,47 +35,56 @@ LanczosResult lanczos(const Operator& op, const LanczosOptions& options) {
   sparse::scale(1.0 / norm, v);
 
   LanczosResult result;
-  double previous_lowest = 0.0;
+  detail::LanczosStep step(options);
   for (int it = 0; it < options.max_iterations; ++it) {
-    if (options.full_reorthogonalization) basis.push_back(v);
     op.apply(v, w);
-    const double a = op.dot(w, v);
-    result.alpha.push_back(a);
-    // w -= a v + b_prev v_prev
-    for (std::size_t i = 0; i < n; ++i) {
-      w[i] -= a * v[i];
-      if (it > 0) w[i] -= result.beta.back() * v_prev[i];
-    }
-    if (options.full_reorthogonalization) {
-      for (const auto& q : basis) {
-        const double projection = op.dot(w, q);
-        for (std::size_t i = 0; i < n; ++i) w[i] -= projection * q[i];
-      }
-    }
-    const double b = std::sqrt(op.dot(w, w));
-
-    result.ritz_values =
-        tridiagonal_eigenvalues(result.alpha, result.beta);
-    result.iterations = it + 1;
-    const double lowest = result.ritz_values.front();
-    if (it > 0 && std::abs(lowest - previous_lowest) <
-                      options.tolerance *
-                          (1.0 + std::abs(lowest))) {
-      result.converged = true;
-      return result;
-    }
-    previous_lowest = lowest;
-
-    if (b < 1e-14) {
-      // Invariant subspace found: the Ritz values are exact.
-      result.converged = true;
-      return result;
-    }
-    result.beta.push_back(b);
-    v_prev = v;
-    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / b;
+    if (step(it, v, w, result, op.dot)) break;
   }
   return result;
 }
+
+namespace detail {
+
+bool LanczosStep::operator()(int it, std::span<value_t> v,
+                             std::span<value_t> w, LanczosResult& result,
+                             const DotFn& dot) {
+  if (options.full_reorthogonalization) basis.emplace_back(v.begin(), v.end());
+  const double a = dot(w, v);
+  result.alpha.push_back(a);
+  // w -= a v + b_prev v_prev
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] -= a * v[i];
+    if (it > 0) w[i] -= result.beta.back() * v_prev[i];
+  }
+  if (options.full_reorthogonalization) {
+    for (const auto& q : basis) {
+      const double projection = dot(w, q);
+      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= projection * q[i];
+    }
+  }
+  const double b = std::sqrt(dot(w, w));
+
+  result.ritz_values = tridiagonal_eigenvalues(result.alpha, result.beta);
+  result.iterations = it + 1;
+  const double lowest = result.ritz_values.front();
+  if (it > 0 && std::abs(lowest - previous_lowest) <
+                    options.tolerance * (1.0 + std::abs(lowest))) {
+    result.converged = true;
+    return true;
+  }
+  previous_lowest = lowest;
+
+  if (b < 1e-14) {
+    // Invariant subspace found: the Ritz values are exact.
+    result.converged = true;
+    return true;
+  }
+  result.beta.push_back(b);
+  v_prev.assign(v.begin(), v.end());
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = w[i] / b;
+  return false;
+}
+
+}  // namespace detail
 
 }  // namespace hspmv::solvers

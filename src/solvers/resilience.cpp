@@ -1,10 +1,14 @@
 #include "solvers/resilience.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 #include <tuple>
 #include <stdexcept>
 #include <utility>
+
+#include "solvers/elastic_driver.hpp"
 
 namespace hspmv::solvers {
 
@@ -14,8 +18,8 @@ namespace {
 
 /// Private tags of the buddy exchange — keep out of the solvers' way
 /// (halo exchange and solver p2p use tag 0).
-constexpr int kHeaderTag = 9101;
-constexpr int kPayloadTag = 9102;
+constexpr int kSaveSizeTag = 9101;
+constexpr int kSavePayloadTag = 9102;
 constexpr int kRemapSizeTag = 9103;
 constexpr int kRemapPayloadTag = 9104;
 
@@ -23,6 +27,44 @@ constexpr int kRemapPayloadTag = 9104;
 /// slice_len, scalar_count, epoch]. Doubles represent these integers
 /// exactly (all well below 2^53).
 constexpr std::size_t kHeaderLen = 6;
+
+/// One buddy round: send `stream` to (rank+1) % size and receive the
+/// stream of (rank-1) % size — its length first (streams differ in size
+/// across ranks), then the payload. Loosely collective over `comm`. A
+/// single rank is its own buddy.
+std::vector<value_t> exchange_with_buddies(const minimpi::Comm& comm,
+                                           std::span<const value_t> stream,
+                                           int size_tag, int payload_tag) {
+  if (comm.size() == 1) return {stream.begin(), stream.end()};
+  const int next = (comm.rank() + 1) % comm.size();
+  const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+  value_t my_len[1] = {static_cast<value_t>(stream.size())};
+  value_t their_len[1] = {};
+  comm.sendrecv(std::span<const value_t>(my_len, 1), next,
+                std::span<value_t>(their_len, 1), prev, size_tag, size_tag);
+  // HSPMV-CHECK-ALLOW(first-touch): checkpoint-exchange message staging; not a sweep target
+  std::vector<value_t> received(static_cast<std::size_t>(their_len[0]));
+  comm.sendrecv(stream, next, std::span<value_t>(received), prev, payload_tag,
+                payload_tag);
+  return received;
+}
+
+/// Parse all of `text` as an int; throws on trailing characters (and,
+/// through std::stoi, on empty or out-of-range input).
+int whole_int(const std::string& text) {
+  std::size_t consumed = 0;
+  const int value = std::stoi(text, &consumed);
+  if (consumed != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
+// The plan rules shared by the CLI parsers and detail::validate.
+bool valid(const FailurePlan& plan) {
+  return plan.rank >= 0 && plan.iteration >= 0;
+}
+bool valid(const GrowPlan& plan) {
+  return plan.iteration >= 0 && plan.ranks >= 1;
+}
 
 }  // namespace
 
@@ -93,60 +135,20 @@ void BuddyCheckpoint::save(
   }
   mine.scalars.assign(scalars.begin(), scalars.end());
 
-  Snapshot theirs;
-  if (comm.size() == 1) {
-    theirs = mine;  // self-buddy: the slice survives trivially
-  } else {
-    // My snapshot goes to (rank+1) % size; (rank-1) % size entrusts me
-    // with theirs. Headers first (sizes differ across ranks), then the
-    // payload. A FaultError here (dead buddy, revoked comm) aborts the
-    // round without commit — the previous generations stay restorable.
-    const int next = (comm.rank() + 1) % comm.size();
-    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-    value_t header[kHeaderLen] = {
-        static_cast<value_t>(mine.row_begin),
-        static_cast<value_t>(mine.iteration),
-        static_cast<value_t>(mine.vector_count),
-        static_cast<value_t>(mine.slice_len),
-        static_cast<value_t>(mine.scalars.size()),
-        static_cast<value_t>(mine.epoch),
-    };
-    value_t their_header[kHeaderLen] = {};
-    comm.sendrecv(std::span<const value_t>(header, kHeaderLen), next,
-                  std::span<value_t>(their_header, kHeaderLen), prev,
-                  kHeaderTag, kHeaderTag);
-    theirs.row_begin = static_cast<std::int64_t>(their_header[0]);
-    theirs.iteration = static_cast<std::int64_t>(their_header[1]);
-    theirs.vector_count = static_cast<std::int64_t>(their_header[2]);
-    theirs.slice_len = static_cast<std::int64_t>(their_header[3]);
-    theirs.epoch = static_cast<std::int64_t>(their_header[5]);
-    theirs.data.resize(static_cast<std::size_t>(theirs.vector_count) *
-                       static_cast<std::size_t>(theirs.slice_len));
-    theirs.scalars.resize(static_cast<std::size_t>(their_header[4]));
-    // HSPMV-CHECK-ALLOW(first-touch): checkpoint-exchange message staging; not a sweep target
-    std::vector<value_t> send_payload = mine.data;
-    send_payload.insert(send_payload.end(), mine.scalars.begin(),
-                        mine.scalars.end());
-    // HSPMV-CHECK-ALLOW(first-touch): checkpoint-exchange message staging; not a sweep target
-    std::vector<value_t> recv_payload(theirs.data.size() +
-                                      theirs.scalars.size());
-    comm.sendrecv(std::span<const value_t>(send_payload),
-                  next, std::span<value_t>(recv_payload), prev, kPayloadTag,
-                  kPayloadTag);
-    std::copy(recv_payload.begin(),
-              recv_payload.begin() +
-                  static_cast<std::ptrdiff_t>(theirs.data.size()),
-              theirs.data.begin());
-    std::copy(recv_payload.begin() +
-                  static_cast<std::ptrdiff_t>(theirs.data.size()),
-              recv_payload.end(), theirs.scalars.begin());
-  }
+  // My snapshot goes to (rank+1) % size; (rank-1) % size entrusts me
+  // with theirs. A FaultError here (dead buddy, revoked comm) aborts the
+  // round without commit — the previous generations stay restorable.
+  // HSPMV-CHECK-ALLOW(first-touch): checkpoint-exchange message staging; not a sweep target
+  std::vector<value_t> stream;
+  serialize(mine, stream);
+  std::vector<Snapshot> parsed = parse_stream(
+      exchange_with_buddies(comm, stream, kSaveSizeTag, kSavePayloadTag));
 
   // Commit: the just-replaced generation becomes the fallback.
   own_prev_ = std::move(own_);
   buddy_prev_ = std::move(buddy_);
   own_ = std::move(mine);
-  buddy_ = std::move(theirs);
+  buddy_ = std::move(parsed.at(0));
 }
 
 BuddyCheckpoint::Restored BuddyCheckpoint::restore_global(
@@ -184,50 +186,34 @@ BuddyCheckpoint::Restored BuddyCheckpoint::restore_global(
   // Candidate generations: newest iteration first, newest epoch
   // breaking ties (the re-saved copy under the current topology beats a
   // bit-identical pre-change one — same data, live buddy mapping).
-  std::vector<std::pair<std::int64_t, std::int64_t>> candidates;
+  std::set<std::pair<std::int64_t, std::int64_t>, std::greater<>> candidates;
   for (const auto& [key, snapshot] : slices) {
-    const std::pair<std::int64_t, std::int64_t> generation{
-        std::get<1>(key), std::get<0>(key)};  // (iteration, epoch)
-    if (std::find(candidates.begin(), candidates.end(), generation) ==
-        candidates.end()) {
-      candidates.push_back(generation);
-    }
+    candidates.emplace(std::get<1>(key), std::get<0>(key));  // it, epoch
   }
-  std::sort(candidates.rbegin(), candidates.rend());
   for (const auto& [iteration, epoch] : candidates) {
     // All slices of one generation come from the same save round and
     // hence one partition, and the map deduplicated exact copies — so a
-    // complete generation tiles [0, global_rows) strictly.
-    std::int64_t covered = 0;
-    std::int64_t vector_count = -1;
-    bool consistent = true;
-    auto it = slices.lower_bound({epoch, iteration, 0, 0});
-    for (; it != slices.end() && std::get<0>(it->first) == epoch &&
-           std::get<1>(it->first) == iteration;
-         ++it) {
-      const Snapshot& s = it->second;
-      if (s.row_begin != covered ||
-          (vector_count >= 0 && s.vector_count != vector_count)) {
-        consistent = false;
-        break;
-      }
-      vector_count = s.vector_count;
-      covered += s.slice_len;
-    }
-    if (!consistent || covered != static_cast<std::int64_t>(global_rows)) {
-      continue;
-    }
-
+    // complete generation tiles [0, global_rows) strictly. Assemble in
+    // row order; a gap or a vector-count mismatch rejects the candidate.
     Restored restored;
     restored.iteration = iteration;
-    restored.vectors.assign(
-        static_cast<std::size_t>(std::max<std::int64_t>(vector_count, 0)),
-        std::vector<value_t>(static_cast<std::size_t>(global_rows)));
-    for (auto walk = slices.lower_bound({epoch, iteration, 0, 0});
-         walk != slices.end() && std::get<0>(walk->first) == epoch &&
-         std::get<1>(walk->first) == iteration;
-         ++walk) {
-      const Snapshot& s = walk->second;
+    std::int64_t covered = 0;
+    for (auto it = slices.lower_bound({epoch, iteration, 0, 0});
+         it != slices.end() && std::get<0>(it->first) == epoch &&
+         std::get<1>(it->first) == iteration;
+         ++it) {
+      const Snapshot& s = it->second;
+      if (covered == 0) {
+        restored.vectors.assign(
+            static_cast<std::size_t>(s.vector_count),
+            std::vector<value_t>(static_cast<std::size_t>(global_rows)));
+        restored.scalars = s.scalars;
+      }
+      if (s.row_begin != covered ||
+          static_cast<std::size_t>(s.vector_count) != restored.vectors.size()) {
+        covered = -1;
+        break;
+      }
       for (std::int64_t k = 0; k < s.vector_count; ++k) {
         std::copy(s.data.begin() + static_cast<std::ptrdiff_t>(
                                        k * s.slice_len),
@@ -236,8 +222,9 @@ BuddyCheckpoint::Restored BuddyCheckpoint::restore_global(
                   restored.vectors[static_cast<std::size_t>(k)].begin() +
                       static_cast<std::ptrdiff_t>(s.row_begin));
       }
-      if (s.row_begin == 0) restored.scalars = s.scalars;
+      covered += s.slice_len;
     }
+    if (covered != static_cast<std::int64_t>(global_rows)) continue;
 
     // Reseed: this rank's new slice of the restored state becomes the
     // sole committed snapshot, so a recovery interrupted before the
@@ -274,27 +261,13 @@ void BuddyCheckpoint::remap(const minimpi::Comm& comm) {
   // The old buddy slots hold slices entrusted to us under a topology
   // that no longer exists; their owners (if alive) re-replicate them
   // themselves in this same round, so we drop ours either way.
-  if (comm.size() == 1) {
-    buddy_ = own_;
-    buddy_prev_ = own_prev_;
-    return;
-  }
   // HSPMV-CHECK-ALLOW(first-touch): checkpoint remap staging on the calling thread
   std::vector<value_t> contribution;
   if (!own_.empty()) serialize(own_, contribution);
   if (!own_prev_.empty()) serialize(own_prev_, contribution);
-  const int next = (comm.rank() + 1) % comm.size();
-  const int prev = (comm.rank() + comm.size() - 1) % comm.size();
-  value_t my_len[1] = {static_cast<value_t>(contribution.size())};
-  value_t their_len[1] = {};
-  comm.sendrecv(std::span<const value_t>(my_len, 1), next,
-                std::span<value_t>(their_len, 1), prev, kRemapSizeTag,
-                kRemapSizeTag);
   // HSPMV-CHECK-ALLOW(first-touch): checkpoint remap staging on the calling thread
-  std::vector<value_t> received(static_cast<std::size_t>(their_len[0]));
-  comm.sendrecv(std::span<const value_t>(contribution), next,
-                std::span<value_t>(received), prev, kRemapPayloadTag,
-                kRemapPayloadTag);
+  const std::vector<value_t> received = exchange_with_buddies(
+      comm, contribution, kRemapSizeTag, kRemapPayloadTag);
   // Commit only after both exchanges: a FaultError above leaves the
   // store untouched for the retry under the next epoch.
   std::vector<Snapshot> parsed = parse_stream(received);
@@ -304,24 +277,17 @@ void BuddyCheckpoint::remap(const minimpi::Comm& comm) {
 
 FailurePlan parse_failure_plan(const std::string& spec) {
   const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    throw std::invalid_argument(
-        "parse_failure_plan: expected \"<rank>:<iteration>\", got \"" + spec +
-        "\"");
-  }
   FailurePlan plan;
-  std::size_t consumed = 0;
   try {
-    plan.rank = std::stoi(spec.substr(0, colon), &consumed);
-    if (consumed != colon) throw std::invalid_argument(spec);
-    plan.iteration = std::stoi(spec.substr(colon + 1), &consumed);
-    if (consumed != spec.size() - colon - 1) throw std::invalid_argument(spec);
+    if (colon == std::string::npos) throw std::invalid_argument(spec);
+    plan.rank = whole_int(spec.substr(0, colon));
+    plan.iteration = whole_int(spec.substr(colon + 1));
   } catch (const std::exception&) {
     throw std::invalid_argument(
         "parse_failure_plan: expected \"<rank>:<iteration>\", got \"" + spec +
         "\"");
   }
-  if (plan.rank < 0 || plan.iteration < 0) {
+  if (!valid(plan)) {
     throw std::invalid_argument(
         "parse_failure_plan: rank and iteration must be >= 0 in \"" + spec +
         "\"");
@@ -330,37 +296,50 @@ FailurePlan parse_failure_plan(const std::string& spec) {
 }
 
 GrowPlan parse_grow_plan(const std::string& spec) {
-  const auto fail = [&spec]() -> GrowPlan {
+  const auto colon = spec.find(':');
+  GrowPlan plan;
+  try {
+    if (colon == std::string::npos || spec.compare(colon + 1, 1, "+") != 0) {
+      throw std::invalid_argument(spec);
+    }
+    std::string ranks = spec.substr(colon + 2);
+    plan.rollback = !ranks.empty() && ranks.back() == '!';
+    if (plan.rollback) ranks.pop_back();
+    plan.iteration = whole_int(spec.substr(0, colon));
+    plan.ranks = whole_int(ranks);
+  } catch (const std::exception&) {
     throw std::invalid_argument(
         "parse_grow_plan: expected \"<iteration>:+<ranks>[!]\", got \"" +
         spec + "\"");
-  };
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 2 >= spec.size() || spec[colon + 1] != '+') {
-    return fail();
   }
-  GrowPlan plan;
-  std::string ranks = spec.substr(colon + 2);
-  if (!ranks.empty() && ranks.back() == '!') {
-    plan.rollback = true;
-    ranks.pop_back();
-  }
-  std::size_t consumed = 0;
-  try {
-    plan.iteration = std::stoi(spec.substr(0, colon), &consumed);
-    if (consumed != colon) return fail();
-    plan.ranks = std::stoi(ranks, &consumed);
-    if (consumed != ranks.size()) return fail();
-  } catch (const std::exception&) {
-    return fail();
-  }
-  if (plan.iteration < 0 || plan.ranks < 1) {
+  if (!valid(plan)) {
     throw std::invalid_argument(
         "parse_grow_plan: iteration must be >= 0 and ranks >= 1 in \"" +
         spec + "\"");
   }
   return plan;
 }
+
+namespace detail {
+
+void validate(const sparse::CsrMatrix& global,
+              const ResilienceOptions& resilience, const std::string& who) {
+  const auto check = [&who](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(who + ": " + what);
+  };
+  const auto all_valid = [](const auto& plans) {
+    return std::ranges::all_of(plans,
+                               [](const auto& plan) { return valid(plan); });
+  };
+  check(global.rows() == global.cols(), "matrix must be square");
+  check(resilience.checkpoint_interval >= 1,
+        "checkpoint_interval must be >= 1");
+  check(all_valid(resilience.grows),
+        "grow plans need iteration >= 0 and ranks >= 1");
+  check(all_valid(resilience.failures),
+        "failure plans need rank >= 0 and iteration >= 0");
+}
+
+}  // namespace detail
 
 }  // namespace hspmv::solvers

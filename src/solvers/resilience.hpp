@@ -64,7 +64,8 @@ struct GrowPlan {
 struct ResilientCgResult;
 struct ResilientLanczosResult;
 
-/// Knobs of the resilient drivers.
+/// Knobs of the resilient drivers. Plans must satisfy the parsers' rules
+/// (failure: rank, iteration >= 0; grow: iteration >= 0, ranks >= 1).
 struct ResilienceOptions {
   /// Checkpoint every this many iterations (a bootstrap checkpoint at
   /// iteration 0 always happens). Larger: less overhead, more
@@ -204,9 +205,12 @@ class BuddyCheckpoint {
 };
 
 // ---- resilient drivers ----
-// Both run the standard iteration on a RecoverableSpmv operator, catch
-// FaultError, shrink + rebuild + restore + roll back, and continue to
-// convergence. A killed rank returns early with survivor == false.
+// Both are recurrences under one ElasticDriver (elastic_driver.hpp): it
+// runs the iteration on a RecoverableSpmv operator, catches FaultError,
+// shrinks + rebuilds + restores + rolls back, grows on plan, and
+// continues to convergence. A killed rank returns early with survivor
+// == false. Both entry points reject invalid ResilienceOptions (see its
+// field comments) with std::invalid_argument before any collective.
 
 struct ResilientCgResult {
   CgResult cg;

@@ -1,44 +1,32 @@
 // Fault-tolerant, elastic distributed Lanczos.
 //
-// Mirrors lanczos.cpp on a RecoverableSpmv operator with the same
-// recovery protocol as resilient_cg.cpp: buddy-checkpoint the recurrence
-// state every K iterations, and on a permanent FaultError shrink,
-// rebuild, restore, roll back, continue. Unlike CG the recurrence cannot
-// be restarted from x alone, so the checkpoint carries the Lanczos
-// vectors (v, v_prev, and the reorthogonalization basis when enabled)
-// plus the tridiagonal coefficients as replicated scalars.
+// The Lanczos recurrence of lanczos.cpp under the ElasticDriver
+// (elastic_driver.hpp). Unlike CG the recurrence cannot be restarted
+// from one vector, so the checkpoint carries the Lanczos vectors (v,
+// v_prev, and the reorthogonalization basis when enabled) plus the
+// tridiagonal coefficients as replicated scalars.
 //
 // Capacity grows (ResilienceOptions::grows) always run in rollback mode
 // here regardless of GrowPlan::rollback: the checkpoint already carries
 // the complete recurrence, so restoring it on the grown membership is
 // both the simplest and the only deterministic resync — and it hands
 // joiners everything they need (vectors by restore, coefficients as
-// replicated scalars) without a separate state transfer.
+// replicated scalars) without a separate state transfer. The recurrence
+// therefore has no live vectors and an empty control block.
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "solvers/resilience.hpp"
-#include "solvers/tridiag.hpp"
-#include "sparse/vector_ops.hpp"
-#include "spmv/resilient.hpp"
-#include "util/timer.hpp"
+#include "solvers/elastic_driver.hpp"
+#include "solvers/lanczos_step.hpp"
+#include "util/prng.hpp"
 
 namespace hspmv::solvers {
 
-using sparse::index_t;
 using sparse::value_t;
 
 namespace {
-
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// Start-vector entry for global row `row`: a hash of (seed, row) mapped
 /// to [-1, 1). Unlike the sequential driver's PRNG stream this depends
@@ -46,313 +34,89 @@ std::uint64_t mix64(std::uint64_t z) {
 /// whole recurrence — is independent of the partition and survives
 /// repartitioning after a failure or a grow.
 value_t start_entry(std::uint64_t seed, std::int64_t row) {
-  const std::uint64_t h = mix64(mix64(seed) ^ static_cast<std::uint64_t>(row));
+  const std::uint64_t h = util::splitmix64(util::splitmix64(seed) ^
+                                           static_cast<std::uint64_t>(row));
   return -1.0 + 2.0 * (static_cast<value_t>(h >> 11) * 0x1.0p-53);
 }
 
-/// One rank's driver; joiners get a fresh instance entered through
-/// run_joiner (see ElasticCg in resilient_cg.cpp for the pattern).
-class ElasticLanczos {
- public:
-  ElasticLanczos(const sparse::CsrMatrix& global,
-                 const ResilienceOptions& resilience,
-                 const LanczosOptions& options)
-      : global_(global),
-        resilience_(resilience),
-        options_(options),
-        fired_(resilience.grows.size(), 0) {}
+struct LanczosRecurrence {
+  using Result = ResilientLanczosResult;
+  using Driver = detail::ElasticDriver<LanczosRecurrence>;
+  struct Config {
+    const LanczosOptions& options;
+  };
+  static constexpr auto kOnJoinerResult =
+      &ResilienceOptions::on_joiner_lanczos_result;
 
-  ResilientLanczosResult run(minimpi::Comm comm) {
-    world_rank_ = comm.global_rank();
-    op_.emplace(std::move(comm), global_, resilience_.threads,
-                resilience_.variant, resilience_.engine);
-    resize_state();
-    for (std::size_t i = 0; i < n_; ++i) {
-      v_[i] = start_entry(options_.seed,
-                          row_begin_ + static_cast<std::int64_t>(i));
+  explicit LanczosRecurrence(const Config& config)
+      : lanczos(config.options) {}
+
+  void resize(Driver& d) { lanczos.v_prev.assign(d.rows(), 0.0); }
+
+  void start(Driver& d) {
+    const std::span<value_t> v = d.input();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = start_entry(lanczos.options.seed,
+                         d.row_begin() + static_cast<std::int64_t>(i));
     }
-    const value_t norm = std::sqrt(dot(v_, v_));
+    const value_t norm = std::sqrt(d.dot(v, v));
     if (norm == 0.0) {
       throw std::runtime_error("resilient_lanczos: zero start vector");
     }
-    for (auto& entry : v_) entry /= norm;
-    loop();
-    return std::move(out_);
+    for (auto& entry : v) entry /= norm;
   }
 
-  ResilientLanczosResult run_joiner(minimpi::Comm grown) {
-    world_rank_ = grown.global_rank();
-    op_.emplace(spmv::RecoverableSpmv::JoinerTag{}, std::move(grown),
-                global_, resilience_.threads, resilience_.variant,
-                resilience_.engine);
-    grow_resync(/*joiner=*/true);
-    loop();
-    return std::move(out_);
+  void step(Driver& d) {
+    const std::span<value_t> w = d.apply();
+    lanczos(d.iteration(), d.input(), w, out.lanczos,
+            [&d](std::span<const value_t> u, std::span<const value_t> v) {
+              return d.dot(u, v);
+            });
   }
 
- private:
-  void resize_state() {
-    row_begin_ = op_->matrix().row_begin();
-    n_ = static_cast<std::size_t>(op_->matrix().owned_rows());
-    v_.assign(n_, 0.0);
-    v_prev_.assign(n_, 0.0);
-    w_.assign(n_, 0.0);
-    xd_ = op_->make_vector();
-    yd_ = op_->make_vector();
-  }
-
-  void apply(const std::vector<value_t>& in, std::vector<value_t>& result) {
-    std::copy(in.begin(), in.end(), xd_->owned().begin());
-    const spmv::Timings t = op_->apply(*xd_, *yd_);
-    out_.recovery.transient_retries += t.retries;
-    std::copy(yd_->owned().begin(), yd_->owned().end(), result.begin());
-  }
-
-  double dot(std::span<const value_t> a, std::span<const value_t> c) {
-    // Pinned local order (sparse::dot) so the distributed dot is
-    // bitwise-stable for a fixed partition.
-    const value_t local = sparse::dot(a, c);
-    return op_->comm().allreduce(local, minimpi::ReduceOp::kSum);
-  }
+  [[nodiscard]] bool converged() const { return out.lanczos.converged; }
 
   // Checkpoint layout: vectors = [v, v_prev, basis...], scalars =
   // [n_alpha, alpha..., n_beta, beta..., previous_lowest].
-  void save_checkpoint() {
-    LanczosResult& result = out_.lanczos;
-    std::vector<std::span<const value_t>> vectors;
-    vectors.emplace_back(v_);
-    vectors.emplace_back(v_prev_);
-    for (const auto& q : basis_) vectors.emplace_back(q);
-    // HSPMV-CHECK-ALLOW(first-touch): checkpoint scalar packing; cold
-    std::vector<value_t> scalars;
-    scalars.push_back(static_cast<value_t>(result.alpha.size()));
-    scalars.insert(scalars.end(), result.alpha.begin(), result.alpha.end());
-    scalars.push_back(static_cast<value_t>(result.beta.size()));
-    scalars.insert(scalars.end(), result.beta.begin(), result.beta.end());
-    scalars.push_back(previous_lowest_);
-    store_.save(op_->comm(), row_begin_, it_, vectors, scalars);
+  std::vector<std::span<const value_t>> checkpoint(
+      Driver& d, std::vector<value_t>& scalars) const {
+    std::vector<std::span<const value_t>> vectors = {d.input(),
+                                                     lanczos.v_prev};
+    for (const auto& q : lanczos.basis) vectors.emplace_back(q);
+    for (const auto* block : {&out.lanczos.alpha, &out.lanczos.beta}) {
+      scalars.push_back(static_cast<value_t>(block->size()));
+      scalars.insert(scalars.end(), block->begin(), block->end());
+    }
+    scalars.push_back(lanczos.previous_lowest);
+    return vectors;
   }
 
-  /// Adopt a restored checkpoint as the current recurrence state (the
-  /// operator has already been rebuilt on the current communicator).
-  void adopt(const BuddyCheckpoint::Restored& restored) {
-    LanczosResult& result = out_.lanczos;
-    it_ = static_cast<int>(restored.iteration);
-    resize_state();
-    const auto slice = [&](const std::vector<value_t>& full,
-                           std::vector<value_t>& local) {
-      std::copy(full.begin() + row_begin_,
-                full.begin() + row_begin_ + static_cast<std::ptrdiff_t>(n_),
-                local.begin());
-    };
-    slice(restored.vectors.at(0), v_);
-    slice(restored.vectors.at(1), v_prev_);
-    basis_.assign(restored.vectors.size() - 2,
-                  std::vector<value_t>(n_, 0.0));
-    for (std::size_t k = 2; k < restored.vectors.size(); ++k) {
-      slice(restored.vectors[k], basis_[k - 2]);
+  void resume(Driver& d, std::span<const std::span<const value_t>> slices,
+              std::span<const value_t> scalars) {
+    std::copy(slices[0].begin(), slices[0].end(), d.input().begin());
+    lanczos.v_prev.assign(slices[1].begin(), slices[1].end());
+    lanczos.basis.clear();
+    for (const auto q : slices.subspan(2)) {
+      lanczos.basis.emplace_back(q.begin(), q.end());
     }
-    const auto& scalars = restored.scalars;
-    std::size_t cursor = 0;
-    const auto n_alpha = static_cast<std::size_t>(scalars.at(cursor++));
-    result.alpha.assign(
-        scalars.begin() + static_cast<std::ptrdiff_t>(cursor),
-        scalars.begin() + static_cast<std::ptrdiff_t>(cursor + n_alpha));
-    cursor += n_alpha;
-    const auto n_beta = static_cast<std::size_t>(scalars.at(cursor++));
-    result.beta.assign(
-        scalars.begin() + static_cast<std::ptrdiff_t>(cursor),
-        scalars.begin() + static_cast<std::ptrdiff_t>(cursor + n_beta));
-    cursor += n_beta;
-    previous_lowest_ = scalars.at(cursor);
-    // A top-of-iteration checkpoint holds it alphas and it betas (the
-    // recurrence needs the trailing beta); the tridiagonal solve wants
-    // one beta fewer than alphas.
-    result.ritz_values =
-        result.alpha.empty()
-            ? std::vector<double>{}
-            : tridiagonal_eigenvalues(
-                  result.alpha,
-                  {result.beta.begin(),
-                   result.beta.begin() + static_cast<std::ptrdiff_t>(
-                                             result.alpha.size() - 1)});
-    result.iterations = it_;
+    auto cursor = scalars.begin();
+    for (auto* block : {&out.lanczos.alpha, &out.lanczos.beta}) {
+      const auto count = static_cast<std::ptrdiff_t>(*cursor++);
+      block->assign(cursor, cursor + count);
+      cursor += count;
+    }
+    lanczos.previous_lowest = *cursor;
+    // ritz_values and iterations are stale until the next step refreshes
+    // them; a step always follows a resume (the restored iteration is
+    // below max_iterations).
   }
 
-  /// Post-grow resync: restore the last complete checkpoint on the
-  /// grown membership and re-replicate it under the new buddy mapping.
-  /// Joiners additionally adopt the fired-plan flags by broadcast.
-  void grow_resync(bool joiner) {
-    util::Timer timer;
-    RecoveryStats& stats = out_.recovery;
-    const auto restored = store_.restore_global(
-        op_->comm(), global_.rows(), op_->matrix().row_begin(),
-        op_->matrix().owned_rows());
-    if (!joiner) {
-      stats.iterations_lost += it_ - static_cast<int>(restored.iteration);
-    }
-    adopt(restored);
-    // HSPMV-CHECK-ALLOW(first-touch): grow-plan flag header, broadcast once per recovery; cold metadata
-    std::vector<value_t> flags(fired_.size());
-    if (op_->comm().rank() == 0) {
-      for (std::size_t i = 0; i < fired_.size(); ++i) {
-        flags[i] = fired_[i] ? 1.0 : 0.0;
-      }
-    }
-    op_->comm().broadcast(std::span<value_t>(flags), 0);
-    for (std::size_t i = 0; i < fired_.size(); ++i) {
-      fired_[i] = flags[i] != 0.0 ? 1 : 0;
-    }
-    save_checkpoint();
-    ++stats.grows;
-    stats.rows_migrated += op_->last_rebuild().rows_migrated;
-    stats.rows_full_replication += op_->last_rebuild().rows_full_replication;
-    stats.grow_seconds += timer.seconds();
-  }
+  [[nodiscard]] std::vector<value_t> control() const { return {}; }
+  void adopt_control(std::span<const value_t> /*block*/) {}
+  void finish(Driver& /*d*/) {}
 
-  void maybe_grow() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t i = 0; i < resilience_.grows.size(); ++i) {
-        if (fired_[i] || resilience_.grows[i].iteration != it_) continue;
-        fired_[i] = 1;
-        const GrowPlan plan = resilience_.grows[i];
-        const sparse::CsrMatrix& global = global_;
-        const ResilienceOptions& resilience = resilience_;
-        const LanczosOptions& options = options_;
-        op_->grow_and_rebuild(
-            plan.ranks,
-            [&global, &resilience, &options](minimpi::Comm& grown) {
-              ElasticLanczos peer(global, resilience, options);
-              ResilientLanczosResult result = peer.run_joiner(grown);
-              if (resilience.on_joiner_lanczos_result) {
-                resilience.on_joiner_lanczos_result(std::move(result));
-              }
-            });
-        grow_resync(/*joiner=*/false);
-        progress = true;
-        break;
-      }
-    }
-  }
-
-  /// One Lanczos iteration; returns true when converged.
-  bool step() {
-    LanczosResult& result = out_.lanczos;
-    if (options_.full_reorthogonalization) basis_.push_back(v_);
-    apply(v_, w_);
-    const double a = dot(w_, v_);
-    result.alpha.push_back(a);
-    for (std::size_t i = 0; i < n_; ++i) {
-      w_[i] -= a * v_[i];
-      if (it_ > 0) w_[i] -= result.beta.back() * v_prev_[i];
-    }
-    if (options_.full_reorthogonalization) {
-      for (const auto& q : basis_) {
-        const double projection = dot(w_, q);
-        for (std::size_t i = 0; i < n_; ++i) w_[i] -= projection * q[i];
-      }
-    }
-    const double b = std::sqrt(dot(w_, w_));
-
-    result.ritz_values = tridiagonal_eigenvalues(result.alpha, result.beta);
-    result.iterations = it_ + 1;
-    const double lowest = result.ritz_values.front();
-    if (it_ > 0 && std::abs(lowest - previous_lowest_) <
-                       options_.tolerance * (1.0 + std::abs(lowest))) {
-      result.converged = true;
-      return true;
-    }
-    previous_lowest_ = lowest;
-
-    if (b < 1e-14) {
-      // Invariant subspace found: the Ritz values are exact.
-      result.converged = true;
-      return true;
-    }
-    result.beta.push_back(b);
-    v_prev_ = v_;
-    for (std::size_t i = 0; i < n_; ++i) v_[i] = w_[i] / b;
-    ++it_;
-    return false;
-  }
-
-  bool recover(const minimpi::FaultError& fault) {
-    RecoveryStats& stats = out_.recovery;
-    util::Timer recovery_timer;
-    minimpi::FaultError current = fault;
-    for (int attempt = 0;; ++attempt) {
-      if (attempt >= resilience_.max_recoveries) throw current;
-      try {
-        op_->shrink_and_rebuild();
-        stats.rows_migrated += op_->last_rebuild().rows_migrated;
-        stats.rows_full_replication +=
-            op_->last_rebuild().rows_full_replication;
-        const auto restored = store_.restore_global(
-            op_->comm(), global_.rows(), op_->matrix().row_begin(),
-            op_->matrix().owned_rows());
-        stats.iterations_lost += it_ - static_cast<int>(restored.iteration);
-        adopt(restored);
-        save_checkpoint();
-        ++stats.failures_recovered;
-        break;
-      } catch (const CheckpointLostError&) {
-        throw;
-      } catch (const minimpi::FaultError& again) {
-        if (again.kind() == minimpi::FaultKind::kTransient) throw;
-        if (again.rank() == world_rank_) {
-          stats.survivor = false;
-          stats.final_size = 0;
-          return false;
-        }
-        current = again;
-      }
-    }
-    stats.recovery_seconds += recovery_timer.seconds();
-    return true;
-  }
-
-  void loop() {
-    while (!out_.lanczos.converged && it_ < options_.max_iterations) {
-      try {
-        maybe_grow();
-        if (it_ % resilience_.checkpoint_interval == 0) save_checkpoint();
-        for (const FailurePlan& plan : resilience_.failures) {
-          if (plan.rank == world_rank_ && plan.iteration == it_) {
-            op_->comm().simulate_rank_failure();
-          }
-        }
-        if (step()) break;
-      } catch (const minimpi::FaultError& fault) {
-        if (fault.kind() == minimpi::FaultKind::kTransient) throw;
-        if (fault.rank() == world_rank_) {
-          out_.recovery.survivor = false;
-          out_.recovery.final_size = 0;
-          return;
-        }
-        if (!recover(fault)) return;
-      }
-    }
-    out_.recovery.final_size = op_->comm().size();
-  }
-
-  const sparse::CsrMatrix& global_;
-  const ResilienceOptions& resilience_;
-  const LanczosOptions& options_;
-
-  ResilientLanczosResult out_;
-  int world_rank_ = -1;
-  std::optional<spmv::RecoverableSpmv> op_;
-  BuddyCheckpoint store_;
-  index_t row_begin_ = 0;
-  std::size_t n_ = 0;
-  std::optional<spmv::DistVector> xd_, yd_;
-  std::vector<value_t> v_, v_prev_, w_;
-  std::vector<std::vector<value_t>> basis_;
-  double previous_lowest_ = 0.0;
-  int it_ = 0;
-  std::vector<char> fired_;
+  detail::LanczosStep lanczos;  ///< v_prev, basis and the options
+  Result out;
 };
 
 }  // namespace
@@ -361,18 +125,13 @@ ResilientLanczosResult resilient_lanczos(minimpi::Comm comm,
                                          const sparse::CsrMatrix& global,
                                          const ResilienceOptions& resilience,
                                          const LanczosOptions& options) {
-  if (global.rows() != global.cols()) {
-    throw std::invalid_argument("resilient_lanczos: matrix must be square");
-  }
+  detail::validate(global, resilience, "resilient_lanczos");
   if (options.max_iterations < 1) {
     throw std::invalid_argument(
         "resilient_lanczos: max_iterations must be >= 1");
   }
-  if (resilience.checkpoint_interval < 1) {
-    throw std::invalid_argument(
-        "resilient_lanczos: checkpoint_interval must be >= 1");
-  }
-  ElasticLanczos driver(global, resilience, options);
+  detail::ElasticDriver<LanczosRecurrence> driver(global, resilience,
+                                                  {options});
   return driver.run(std::move(comm));
 }
 

@@ -3,29 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/prng.hpp"
+
 namespace hspmv::spmv {
-
-namespace {
-
-/// splitmix64 finalizer — a stateless bit mixer, good enough to spread
-/// (seed, attempt, rank) into uncorrelated jitter fractions.
-std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 double RetryPolicy::backoff_seconds(int attempt, int rank) const {
   const int k = std::max(attempt, 1);
   double backoff = base_backoff_seconds;
   for (int i = 1; i < k; ++i) backoff *= backoff_multiplier;
   backoff = std::min(backoff, max_backoff_seconds);
-  const std::uint64_t bits =
-      mix(jitter_seed ^ mix(static_cast<std::uint64_t>(k)) ^
-          mix(static_cast<std::uint64_t>(rank) + 0x51ull));
+  // splitmix64 spreads (seed, attempt, rank) into uncorrelated jitter.
+  const std::uint64_t bits = util::splitmix64(
+      jitter_seed ^ util::splitmix64(static_cast<std::uint64_t>(k)) ^
+      util::splitmix64(static_cast<std::uint64_t>(rank) + 0x51ull));
   const double fraction =
       static_cast<double>(bits >> 11) * 0x1.0p-53;  // [0, 1)
   return backoff + fraction * base_backoff_seconds;

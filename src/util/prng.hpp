@@ -10,6 +10,17 @@
 
 namespace hspmv::util {
 
+/// splitmix64 (Steele, Lea, Flood): advance `z` by the golden-ratio
+/// increment and finalize it — a stateless bit mixer that spreads
+/// correlated inputs (seeds, row indices, attempt counters) into
+/// uncorrelated 64-bit values.
+constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Xoshiro256 {
  public:
   using result_type = std::uint64_t;
@@ -17,13 +28,9 @@ class Xoshiro256 {
   /// Seeds the four-word state from a single 64-bit seed using the
   /// splitmix64 expansion recommended by the xoshiro authors.
   explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) {
-    std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

@@ -14,6 +14,8 @@
 #include <numbers>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -453,6 +455,139 @@ TEST_F(ResilientCg, SimultaneousBuddyPairDeathNeverHangsOrLies) {
   EXPECT_TRUE((lost.load() == 2 && converged.load() == 0) ||
               (lost.load() == 0 && converged.load() == 2))
       << "lost " << lost.load() << ", converged " << converged.load();
+}
+
+/// Run resilient_lanczos on `ranks` threads and collect every rank's
+/// result, indexed by world rank.
+std::vector<ResilientLanczosResult> run_lanczos(
+    const sparse::CsrMatrix& a, int ranks,
+    const ResilienceOptions& resilience, const LanczosOptions& options = {}) {
+  std::vector<ResilientLanczosResult> results(
+      static_cast<std::size_t>(ranks));
+  std::mutex mutex;
+  minimpi::RuntimeOptions runtime;
+  runtime.ranks = ranks;
+  minimpi::run(runtime, [&](minimpi::Comm& comm) {
+    auto result = resilient_lanczos(comm, a, resilience, options);
+    std::lock_guard<std::mutex> lock(mutex);
+    results[static_cast<std::size_t>(comm.rank())] = std::move(result);
+  });
+  return results;
+}
+
+/// Bitwise equality of two coefficient sequences over their first
+/// `count` entries.
+void expect_bitwise_prefix(const std::vector<double>& got,
+                           const std::vector<double>& want,
+                           std::size_t count, const char* what) {
+  ASSERT_GE(got.size(), count) << what;
+  ASSERT_GE(want.size(), count) << what;
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << "[" << i << "]";
+  }
+}
+
+/// Expect `call` to throw the entry-point validator's
+/// std::invalid_argument — its message names the entry point — rather
+/// than a later error from inside the protocol.
+template <typename Call>
+void expect_rejected_up_front(Call call, const std::string& who) {
+  try {
+    call();
+    ADD_FAILURE() << who << " accepted an invalid plan";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind(who + ": ", 0), 0u)
+        << error.what();
+  }
+}
+
+TEST_F(ResilientCg, InvalidPlansThrowBeforeAnyIteration) {
+  // Both entry points share one validator: a grow plan with no ranks, a
+  // negative grow iteration (never fired) and a negative failure plan
+  // are rejected up front, on every rank, before the first apply or
+  // collective — not after a few iterations from inside minimpi.
+  const Problem problem = make_problem(seed(1));
+  std::vector<ResilienceOptions> bad(3, fast_options());
+  bad[0].grows = {{5, 0, true}};
+  bad[1].grows = {{-1, 1, false}};
+  bad[2].failures = {{-1, 3}};
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    std::atomic<int> joiners{0};
+    bad[k].on_joiner_result = [&](ResilientCgResult) { joiners.fetch_add(1); };
+    bad[k].on_joiner_lanczos_result = [&](ResilientLanczosResult) {
+      joiners.fetch_add(1);
+    };
+    minimpi::RuntimeOptions runtime;
+    runtime.ranks = 2;
+    minimpi::run(runtime, [&](minimpi::Comm& comm) {
+      expect_rejected_up_front(
+          [&] { (void)resilient_lanczos(comm, problem.a, bad[k]); },
+          "resilient_lanczos");
+      expect_rejected_up_front(
+          [&] { (void)resilient_cg(comm, problem.a, problem.b, bad[k]); },
+          "resilient_cg");
+    });
+    EXPECT_EQ(joiners.load(), 0) << "plan set " << k;
+  }
+}
+
+TEST_F(ResilientCg, LanczosIsBitwiseTheSameForEveryTeamSize) {
+  // Lanczos dots run on the rank's team (sparse::team_dot): 2 ranks x
+  // 20000 rows cut into three 8192-element blocks per rank, so 1, 2 and
+  // 3 threads must give the same alpha, beta and Ritz bits.
+  const auto a = matgen::poisson5_2d(200, 200);
+  LanczosOptions options;
+  options.max_iterations = 30;
+  std::vector<ResilientLanczosResult> reference;
+  for (int threads = 1; threads <= 3; ++threads) {
+    ResilienceOptions resilience = fast_options();
+    resilience.threads = threads;
+    const auto results = run_lanczos(a, 2, resilience, options);
+    ASSERT_EQ(results.front().lanczos.iterations, 30);
+    if (threads == 1) {
+      reference = results;
+      continue;
+    }
+    for (std::size_t rank = 0; rank < results.size(); ++rank) {
+      const LanczosResult& got = results[rank].lanczos;
+      const LanczosResult& want = reference[rank].lanczos;
+      ASSERT_EQ(got.alpha.size(), want.alpha.size());
+      ASSERT_EQ(got.beta.size(), want.beta.size());
+      ASSERT_EQ(got.ritz_values.size(), want.ritz_values.size());
+      expect_bitwise_prefix(got.alpha, want.alpha, want.alpha.size(), "alpha");
+      expect_bitwise_prefix(got.beta, want.beta, want.beta.size(), "beta");
+      expect_bitwise_prefix(got.ritz_values, want.ritz_values,
+                            want.ritz_values.size(), "ritz");
+    }
+  }
+}
+
+TEST_F(ResilientCg, LanczosRestoresCheckpointedCoefficientsBitwise) {
+  // Rank 2 dies at iteration 7 with checkpoints every 5: the survivors
+  // restore the iteration-5 checkpoint, whose scalar block carries the
+  // first 5 alphas and betas. Up to there the recovered run must be the
+  // calm run's, bit for bit; afterwards it continues on 3 ranks.
+  constexpr int kRanks = 4;
+  constexpr int kVictim = 2;
+  constexpr std::size_t kRestored = 5;
+  const auto a = matgen::poisson5_2d(16, 16);
+  const ResilienceOptions calm = fast_options();
+  ResilienceOptions faulty = fast_options();
+  faulty.failures.push_back({kVictim, 7});
+  const auto baseline = run_lanczos(a, kRanks, calm);
+  const auto recovered = run_lanczos(a, kRanks, faulty);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    if (rank == kVictim) continue;
+    const auto& result = recovered[static_cast<std::size_t>(rank)];
+    ASSERT_EQ(result.recovery.failures_recovered, 1) << "rank " << rank;
+    const LanczosResult& want =
+        baseline[static_cast<std::size_t>(rank)].lanczos;
+    expect_bitwise_prefix(result.lanczos.alpha, want.alpha, kRestored,
+                          "alpha");
+    expect_bitwise_prefix(result.lanczos.beta, want.beta, kRestored, "beta");
+  }
 }
 
 TEST_F(ResilientCg, ResilientLanczosRecoversEigenvalue) {
